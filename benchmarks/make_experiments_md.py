@@ -192,13 +192,19 @@ SECTIONS = [
      "Not in the paper: the whole-boundary batch refiner "
      "(docs/refinement.md, `--refiner batch`) against heap FM, both "
      "driven by the multilevel engine on the same 100k-vertex "
-     "hypergraph as the multilevel extension.  Three gates are "
-     "asserted: the batch cut lands within 5% of FM's at equal "
-     "Formula-1 balance, the batch refiner's synchronous round count "
-     "stays an order of magnitude below FM's sequential move count "
-     "(the structural speedup — vector width replaces move-by-move "
-     "dependency), and the batch assignment sha256 is identical at "
-     "1/2/4 workers.  Walls live in the quarantined host_timings "
+     "hypergraph as the multilevel extension, whose nets have at most "
+     "4 pins.  Three gates are asserted on that synthetic input: the "
+     "batch cut lands within 5% of FM's at equal Formula-1 balance, "
+     "the batch refiner's synchronous round count stays an order of "
+     "magnitude below FM's sequential move count (the structural "
+     "speedup — vector width replaces move-by-move dependency), and "
+     "the batch assignment sha256 is identical at 1/2/4 workers.  The "
+     "5% margin does not carry over to circuit-shaped input: the "
+     "second table runs both refiners on the streamed viterbi-s10k "
+     "netlist (clock/reset nets of ~1,900 pins, k=4, b=5), where the "
+     "batch cut is about 3x FM's.  On that rung only FM is gated — "
+     "balanced, assignment sha256 pinned — and the ratio is reported, "
+     "not asserted.  Walls live in the quarantined host_timings "
      "channel."),
     ("Extension — million-gate scale ladder", "scale_ladder",
      "Not in the paper's experiments but its premise: the original "

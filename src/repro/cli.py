@@ -290,6 +290,18 @@ def _load(args) -> "object":
     return compile_verilog(text, top=args.top)
 
 
+def _rejects_stream(args, command: str) -> bool:
+    """Print a one-line error and return True if ``args.file`` is a
+    ``stream:`` spec: ``command`` simulates the gate-level object
+    model, which array-native circuits do not carry."""
+    if not str(args.file).startswith("stream:"):
+        return False
+    print(f"error: {command} needs the gate-level object model; stream: "
+          "circuits carry none (use circuit:NAME or a Verilog file)",
+          file=sys.stderr)
+    return True
+
+
 def _stamp() -> str:
     """Wall-clock provenance for metrics documents — the only
     non-deterministic field they carry (see docs/observability.md)."""
@@ -497,6 +509,8 @@ def _cmd_simulate(args, out) -> int:
     from .sim import SequentialSimulator, compile_circuit
     from .sim.logic import value_name
 
+    if _rejects_stream(args, "simulate"):
+        return 1
     netlist = _load(args)
     events = random_vectors(netlist, args.vectors, seed=args.seed)
     sim = SequentialSimulator(compile_circuit(netlist))
@@ -517,6 +531,8 @@ def _cmd_psim(args, out) -> int:
     from .obs import NULL_RECORDER
     from .sim import ClusterSpec, TimeWarpConfig, compile_circuit, run_partitioned
 
+    if _rejects_stream(args, "psim"):
+        return 1
     recorder = NULL_RECORDER
     if args.metrics is not None:
         from .obs import SpanRecorder

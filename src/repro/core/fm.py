@@ -13,6 +13,23 @@ degrades edges that also touch third partitions without accounting for
 them.  A lazy max-heap with per-vertex version stamps stands in for
 the classic bucket array — same amortized behaviour, simpler to keep
 correct with weighted vertices and k-way gain updates.
+
+**Delta-gain refresh.**  A pin's gain term on edge ``e`` depends only
+on ``λ(e)`` and on whether its own block's count is 1 and the other
+block's count is 0.  Moving ``v`` from ``frm`` to ``to`` shifts
+``counts[e][frm]`` down and ``counts[e][to]`` up by one, which changes
+one of those inputs only if ``counts[e][frm] <= 2`` or
+``counts[e][to] <= 1`` before the move.  So after a move only the pins
+of such edges are re-scored (each once) and pushed with a new stamp;
+pins of every other edge — a clock net with hundreds of pins on both
+sides, say — keep their valid heap entry, because their gain has not
+changed.  A valid entry's key ``(-gain, v)`` is unique per vertex and
+always carries the vertex's current gain, exactly as under a full
+neighbour refresh, so the pop order and every move are unchanged;
+only the work per move shrinks from O(Σ|e| · degree) to O(degree) on
+wide nets.  ``tests/test_fm_delta_gain.py`` checks this against the
+retained full-refresh FM,
+:func:`repro.bench.partition_speed.legacy_refine_pair`.
 """
 
 from __future__ import annotations
@@ -108,8 +125,11 @@ def _one_pass(
     if not vertices:
         return 0, []
 
+    # stamp of every unlocked pair vertex's valid heap entry, drawn
+    # from one pass-wide counter; locking a vertex (moved or blocked)
+    # removes its entry
     stamp = dict.fromkeys(vertices, 0)
-    locked: set[int] = set()
+    tick = 0
 
     # (-gain, v, stamp, target): a total order with no duplicate keys,
     # so the heap's internal layout (heapify vs. pushes, batch vs.
@@ -140,11 +160,11 @@ def _one_pass(
     heappop = heapq.heappop
     heappush = heapq.heappush
     move_gain = state.move_gain
-    neighbor_lists = hg.neighbor_lists()
-    # the neighbour-refresh gain evaluation below inlines the scalar
+    edge_pins = hg.edge_pins_lists()
+    # the refresh gain evaluation below inlines the scalar
     # λ-cache kernel of PartitionState.move_gain — this is the hottest
     # loop in the whole partitioner and even a bound method call per
-    # neighbour is measurable.  Same arithmetic, same integers; the
+    # re-scored pin is measurable.  Same arithmetic, same integers; the
     # property tests cross-check both against recompute().
     part_list = state._part_list
     adj = state._adj
@@ -155,7 +175,7 @@ def _one_pass(
 
     while heap:
         neg_g, v, st, to = heappop(heap)
-        if v in locked or st != stamp[v]:
+        if stamp.get(v) != st:
             continue
         frm = part_list[v]
         if frm not in (a, b):  # pragma: no cover - defensive
@@ -171,7 +191,7 @@ def _one_pass(
         if blocked:
             # re-push is pointless within this pass: bounds only tighten
             # for this direction as the pass proceeds; simply skip.
-            locked.add(v)
+            del stamp[v]
             continue
         realized = state.move(v, to)
         if frm == a:
@@ -180,41 +200,48 @@ def _one_pass(
         else:
             weight_b -= wv
             weight_a += wv
-        locked.add(v)
+        del stamp[v]
         moves.append((v, frm, to))
         cum += realized
         if cum > best:
             best = cum
             best_idx = len(moves)
-        # refresh gains of unlocked neighbours sharing an edge — the
-        # cached adjacency avoids rebuilding a pin set per move; the
-        # handful of survivors is re-evaluated through the scalar gain
-        # path (same integers as the batch query, no array dispatch)
-        for u in neighbor_lists[v]:
-            if u in stamp and u not in locked:
-                su = stamp[u] + 1
-                stamp[u] = su
-                frm_u = part_list[u]
-                to_u = b if frm_u == a else a
-                edges_u = adj[u]
-                if len(edges_u) > _VECTOR_DEGREE:
-                    g = move_gain(u, to_u)
-                else:
-                    lam_hits += len(edges_u)
-                    g = 0
-                    for e in edges_u:
-                        row = counts_list[e]
-                        spanned = lam_list[e]
-                        new_spanned = (
-                            spanned
-                            - (1 if row[frm_u] == 1 else 0)
-                            + (1 if row[to_u] == 0 else 0)
-                        )
-                        if spanned > 1 and new_spanned == 1:
-                            g += w_list[e]
-                        elif spanned == 1 and new_spanned > 1:
-                            g -= w_list[e]
-                heappush(heap, (-g, u, su, to_u))
+        # delta-gain refresh (module docstring): only edges with a from
+        # count <= 2 or a to count <= 1 before the move — read after it,
+        # <= 1 and <= 2 — can change a pin's gain.  Their unlocked pair
+        # pins are re-scored once each (a stamp above t0 marks "already
+        # done for this move") through the scalar gain path: same
+        # integers as the batch query, no array dispatch.
+        t0 = tick
+        for e in adj[v]:
+            row = counts_list[e]
+            if row[frm] > 1 and row[to] > 2:
+                continue
+            for u in edge_pins[e]:
+                if u in stamp and stamp[u] <= t0:
+                    tick += 1
+                    stamp[u] = tick
+                    frm_u = part_list[u]
+                    to_u = b if frm_u == a else a
+                    edges_u = adj[u]
+                    if len(edges_u) > _VECTOR_DEGREE:
+                        g = move_gain(u, to_u)
+                    else:
+                        lam_hits += len(edges_u)
+                        g = 0
+                        for f in edges_u:
+                            row_f = counts_list[f]
+                            spanned = lam_list[f]
+                            new_spanned = (
+                                spanned
+                                - (1 if row_f[frm_u] == 1 else 0)
+                                + (1 if row_f[to_u] == 0 else 0)
+                            )
+                            if spanned > 1 and new_spanned == 1:
+                                g += w_list[f]
+                            elif spanned == 1 and new_spanned > 1:
+                                g -= w_list[f]
+                    heappush(heap, (-g, u, tick, to_u))
 
     state.lambda_hits += lam_hits
     # roll back past the best prefix

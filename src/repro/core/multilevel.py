@@ -297,22 +297,6 @@ def _heavy_edge_matching(
     return mapping.astype(np.int64, copy=False), matched_pairs, match_score
 
 
-def _edge_pin_lists(hg: Hypergraph) -> list[list[int]]:
-    """Per-edge pin lists as plain Python ints (one bulk CSR gather).
-
-    Reference-path utility only: the production matcher reads CSR
-    slices directly, this feeds the retained scalar oracle below.
-    """
-    flat, counts = hg.edges_pins(np.arange(hg.num_edges, dtype=np.int64))
-    flat_list = flat.tolist()
-    out: list[list[int]] = []
-    pos = 0
-    for c in counts.tolist():
-        out.append(flat_list[pos:pos + c])
-        pos += c
-    return out
-
-
 def _heavy_edge_matching_reference(
     hg: Hypergraph,
     rng: np.random.Generator,
@@ -330,7 +314,7 @@ def _heavy_edge_matching_reference(
     vertex_weight = hg.vertex_weight_list
     edge_weight = hg.edge_weight_list
     vertex_edges = hg.vertex_edges_lists()
-    pins_of = _edge_pin_lists(hg)
+    pins_of = hg.edge_pins_lists()
 
     match = [-1] * n
     matched_pairs = 0

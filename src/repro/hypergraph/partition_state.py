@@ -31,8 +31,7 @@ table):
   implementation made them O(degree · k);
 * :meth:`move_gains` evaluates a whole batch of candidate moves in a
   handful of NumPy operations over the gathered incidence slices — FM
-  heap fills, neighbor gain refreshes and pairing estimates all go
-  through it;
+  heap fills and pairing estimates go through it;
 * :meth:`copy` / :meth:`export_arrays` / :meth:`from_arrays` duplicate
   the derived arrays directly instead of replaying ``recompute`` —
   O(edges · k) ``memcpy`` instead of an O(pins) scatter, and the cheap

@@ -106,6 +106,15 @@ class TestSimulateCommands:
         assert "speedup" in text
         assert "verified        : True" in text
 
+    @pytest.mark.parametrize("command", ["simulate", "psim"])
+    def test_stream_spec_rejected_cleanly(self, command, capsys):
+        code, text = run(command, "stream:viterbi-test", "--vectors", "5")
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0
+        assert err.startswith(f"error: {command} needs the gate-level")
+
     def test_psim_aggressive(self, vfile):
         code, text = run(
             "psim", str(vfile), "-k", "2", "--vectors", "10", "--aggressive"

@@ -11,7 +11,8 @@ tests pin that contract from several directions:
   (vertex, target) cell;
 * the mirror invariant: the plain-``int`` lists carry the same values
   as the authoritative NumPy arrays at every observation point;
-* the bulk neighbor adjacency against a brute-force rebuild;
+* the cached edge → pin table and ``neighbors`` against a brute-force
+  rebuild;
 * the tier-1 smoke form of the speed study (structural parity between
   the vectorized core and the pre-PR legacy implementation).
 """
@@ -158,24 +159,24 @@ def test_snapshot_restore_preserves_views_and_state():
     _assert_matches_oracle(state)
 
 
-def test_neighbor_lists_match_bruteforce():
+def test_neighbors_and_edge_pins_match_bruteforce():
     hg = _random_hg(17)
-    lists = hg.neighbor_lists()
-    assert len(lists) == hg.num_vertices
+    lists = hg.edge_pins_lists()
+    assert len(lists) == hg.num_edges
+    assert hg.edge_pins_lists() is lists
+    for e in range(hg.num_edges):
+        assert lists[e] == hg.edge_vertices(e).tolist()
     for v in range(hg.num_vertices):
         expect: set[int] = set()
         for e in hg.vertex_edges(v):
             expect.update(int(u) for u in hg.edge_vertices(int(e)))
         expect.discard(v)
-        assert lists[v] == sorted(expect)
-        assert hg.neighbor_list(v) is lists[v]
         assert hg.neighbors(v) == expect
-        np.testing.assert_array_equal(hg.neighbor_array(v), sorted(expect))
 
 
-def test_neighbor_lists_empty_graph():
+def test_neighbors_empty_graph():
     hg = Hypergraph.from_edges([1, 1, 1], [])
-    assert hg.neighbor_lists() == [[], [], []]
+    assert hg.edge_pins_lists() == []
     assert hg.neighbors(1) == set()
 
 
