@@ -12,6 +12,12 @@ real old code, not a strawman, exactly like
 :class:`repro.bench.partition_speed.LegacyPartitionState` does for the
 partition core.
 
+The legacy scheduler also serves as the oracle for the engine's
+current one.  It re-pushes every stale heap entry it meets, where the
+engine drops it; over the production LP (``lp_class = ClusterLP``) the
+two must make the same decisions, and ``tests/test_tw_scheduler.py``
+checks that run for run.
+
 ``sim_speed_study`` runs the same pre-simulation (k, b) sweep through
 both stacks over one shared set of partitions and asserts every
 structural quantity (committed events, messages, rollbacks, modeled
@@ -532,9 +538,11 @@ class _LegacyLPValueView:
 class LegacyTimeWarpEngine(TimeWarpEngine):
     """The pre-PR engine scheduler: per-machine lazy ready-heaps whose
     stale (next_vt, lid) entries are validated against
-    ``next_pending_vt()`` on every pop, plus the lazy global ready-heap
-    of conservative mode.  Only the scheduling methods differ; the main
-    loop, delivery, GVT and cost model are inherited."""
+    ``next_pending_vt()`` on every pop and pushed back as
+    ``(actual, lid)``, plus the lazy global ready-heap of conservative
+    mode.  Only the scheduling methods differ; the main loop, delivery,
+    GVT and cost model are inherited.  Kept as the oracle for the
+    engine's drop-stale scheduler."""
 
     lp_class = LegacyClusterLP
 

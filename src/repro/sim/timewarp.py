@@ -13,7 +13,12 @@ Driver loop: repeatedly pick the machine whose next action (processing
 a ready event batch, or waking up for a message arrival) happens
 earliest in modeled wall time, deliver its due messages (possibly
 triggering rollbacks), then let it execute the lowest-virtual-time LP
-it hosts — the standard Time Warp scheduling discipline.
+it hosts — the standard Time Warp scheduling discipline.  Each
+machine keeps a lazy min-heap of ``(next_vt, lid)`` entries for the LPs
+it hosts (plus one global heap in conservative mode).  Every change to
+an LP's ``next_vt`` pushes a fresh entry, so an entry that no longer
+matches its LP (or whose LP migrated away) is dropped when it
+surfaces and never pushed back, so stale copies cannot pile up.
 
 Determinism: ties are broken by machine id, LP id, and message serials;
 two runs with the same inputs produce identical statistics.
@@ -34,13 +39,6 @@ from .sequential import SequentialSimulator
 
 __all__ = ["TimeWarpEngine"]
 
-#: average hosted LPs per machine above which the scheduler keeps lazy
-#: (next_vt, lid) ready-heaps instead of scanning every hosted LP per
-#: decision.  Both schedulers select the identical (vt, lid) minimum —
-#: the scan wins on small fleets (no heap churn), the heaps win once a
-#: linear pass per pick costs more than validating a few stale entries.
-SCAN_SCHED_MAX_LPS = 48
-
 #: sentinel marking a machine's cached next-action time as stale
 _STALE = object()
 
@@ -54,9 +52,8 @@ class _Machine:
         self.mid = mid
         self.wall = 0.0
         self.lp_ids: list[int] = []
-        #: lazy heap of (next_vt, lid); used when the machine hosts
-        #: many LPs (see SCAN_SCHED_MAX_LPS) and by heap-only engine
-        #: variants (repro.bench.sim_speed)
+        #: lazy heap of (next_vt, lid) over the hosted LPs; stale
+        #: entries are dropped when they reach the top (see _mark_ready)
         self.ready: list[tuple[int, int]] = []
         #: heap of (arrival_wall, serial, Message)
         self.arrivals: list[tuple[float, int, Message]] = []
@@ -150,6 +147,7 @@ class TimeWarpEngine:
             )
             for lid, gate_ids in enumerate(clusters)
         ]
+        self._gate_lp = self._gate_to_lp(clusters)
         self._wire_destinations()
         self.machines = [_Machine(m) for m in range(spec.num_machines)]
         for lid, m in enumerate(self.lp_machine):
@@ -164,7 +162,6 @@ class TimeWarpEngine:
         # partitioner's predicted cut speaks about)
         self._lp_partition = tuple(self.lp_machine)
         self._arrival_serial = 0
-        self._gate_lp = self._gate_to_lp(clusters)
         self._gvt_estimate = -1
         self._stalled_rounds = 0
         self._emergency_throttle = False
@@ -176,10 +173,6 @@ class TimeWarpEngine:
         self._migration_cooldown = 0
         # conservative mode: exact global safe-time tracking
         self._conservative = config.conservative
-        # scheduler flavor: linear next_vt scans for small LP fleets,
-        # lazy ready-heaps for large ones (identical decisions either
-        # way — see SCAN_SCHED_MAX_LPS)
-        self._heap_sched = len(self.lps) > SCAN_SCHED_MAX_LPS * spec.num_machines
         #: lazy min-heap of (next_vt, lid) across every LP
         self._global_ready: list[tuple[int, int]] = []
         #: lazy min-heap of in-flight message receive times
@@ -204,10 +197,7 @@ class TimeWarpEngine:
     def _wire_destinations(self) -> None:
         """Compute, per LP, the external reader LPs of each driven net."""
         circuit = self.circuit
-        lp_of_gate: dict[int, int] = {}
-        for lp in self.lps:
-            for gid in lp.gate_ids:
-                lp_of_gate[gid] = lp.lid
+        lp_of_gate = self._gate_lp
         for lp in self.lps:
             for gid in lp.gate_ids:
                 out_net = int(circuit.gate_output[gid])
@@ -367,24 +357,15 @@ class TimeWarpEngine:
         return bound
 
     def _global_ready_min(self) -> int | None:
-        if self._heap_sched:
-            heap = self._global_ready
-            while heap:
-                vt, lid = heap[0]
-                actual = self.lps[lid].next_vt
-                if actual is None or actual != vt:
-                    heapq.heappop(heap)
-                    if actual is not None:
-                        heapq.heappush(heap, (actual, lid))
-                    continue
-                return vt
-            return None
-        best: int | None = None
-        for lp in self.lps:
-            vt = lp.next_vt
-            if vt is not None and (best is None or vt < best):
-                best = vt
-        return best
+        heap = self._global_ready
+        lps = self.lps
+        while heap:
+            vt, lid = heap[0]
+            if lps[lid].next_vt != vt:
+                heapq.heappop(heap)  # stale: the LP moved on
+                continue
+            return vt
+        return None
 
     def _inflight_min(self) -> int | None:
         heap = self._inflight_recv
@@ -400,40 +381,31 @@ class TimeWarpEngine:
             return top
         return None
 
-    def _has_ready_work(self, m: _Machine) -> bool:
-        if self._heap_sched:
-            ready = m.ready
-            while ready:
-                vt, lid = ready[0]
-                if self.lp_machine[lid] != m.mid:
-                    heapq.heappop(ready)  # migrated away: stale entry
-                    continue
-                actual = self.lps[lid].next_vt
-                if actual is None or actual != vt:
-                    heapq.heappop(ready)
-                    if actual is not None:
-                        heapq.heappush(ready, (actual, lid))
-                    continue
-                return self._eligible(vt)
-            return False
-        # linear argmin over the machine's LPs' cached next_vt — the
-        # (vt, lid) minimum matches what the lazy ready-heap pops,
-        # without the churn of validating stale heap entries
+    def _ready_top(self, m: _Machine) -> tuple[int, int] | None:
+        """The machine's earliest live ``(next_vt, lid)`` entry, or None.
+
+        Entries of LPs that migrated away or whose ``next_vt`` moved
+        are dropped for good: the move already pushed a fresh entry.
+        """
+        ready = m.ready
         lps = self.lps
-        best: int | None = None
-        for lid in m.lp_ids:
-            vt = lps[lid].next_vt
-            if vt is not None and (best is None or vt < best):
-                best = vt
-        if best is None:
-            return False
-        return self._eligible(best)
+        lp_machine = self.lp_machine
+        mid = m.mid
+        while ready:
+            top = ready[0]
+            vt, lid = top
+            if lp_machine[lid] != mid or lps[lid].next_vt != vt:
+                heapq.heappop(ready)
+                continue
+            return top
+        return None
+
+    def _has_ready_work(self, m: _Machine) -> bool:
+        top = self._ready_top(m)
+        return top is not None and self._eligible(top[0])
 
     def _refresh_ready(self, m: _Machine) -> None:
-        # scan scheduling derives readiness from the LPs directly; the
-        # heap scheduler (re)seeds the machine's ready-heap here
-        if not self._heap_sched:
-            return None
+        """Seed the ready-heaps with every hosted LP's next time."""
         conservative = self._conservative
         for lid in m.lp_ids:
             vt = self.lps[lid].next_vt
@@ -441,48 +413,13 @@ class TimeWarpEngine:
                 heapq.heappush(m.ready, (vt, lid))
                 if conservative:
                     heapq.heappush(self._global_ready, (vt, lid))
-        return None
 
     def _pop_ready_lp(self, m: _Machine) -> int | None:
-        if self._heap_sched:
-            ready = m.ready
-            while ready:
-                vt, lid = ready[0]
-                if self.lp_machine[lid] != m.mid:
-                    heapq.heappop(ready)
-                    continue
-                actual = self.lps[lid].next_vt
-                if actual is None:
-                    heapq.heappop(ready)
-                    continue
-                if actual != vt:
-                    heapq.heappop(ready)
-                    heapq.heappush(ready, (actual, lid))
-                    continue
-                if not self._eligible(vt):
-                    return None  # earliest valid batch beyond the window
-                heapq.heappop(ready)
-                return lid
-            return None
-        lps = self.lps
-        best_vt: int | None = None
-        best_lid = -1
-        for lid in m.lp_ids:
-            vt = lps[lid].next_vt
-            if vt is None:
-                continue
-            if (
-                best_vt is None
-                or vt < best_vt
-                or (vt == best_vt and lid < best_lid)
-            ):
-                best_vt = vt
-                best_lid = lid
-        if best_vt is None:
-            return None
-        if not self._eligible(best_vt):
-            return None  # earliest valid batch is beyond the window
-        return best_lid
+        top = self._ready_top(m)
+        if top is None or not self._eligible(top[0]):
+            return None  # idle, or earliest batch beyond the window
+        heapq.heappop(m.ready)
+        return top[1]
 
     # -- delivery & execution ---------------------------------------------------
 
@@ -631,17 +568,23 @@ class TimeWarpEngine:
         return self.spec.msg_cpu_overhead
 
     def _mark_ready(self, lp: ClusterLP) -> None:
-        # scan scheduling reads readiness straight off lp.next_vt; the
-        # heap scheduler records the LP's (possibly new) next time
-        if not self._heap_sched:
-            return None
+        """Push the LP's current ``(next_vt, lid)`` onto its host's heaps.
+
+        Scheduler invariant: every LP with ``next_vt is not None`` has a
+        live ``(next_vt, lid)`` entry in its host machine's ready-heap
+        (and in the global heap in conservative mode).  It holds because
+        every change to ``lp.next_vt`` is followed by this call —
+        delivery (including a rollback inside ``insert_*``), execution
+        and migration — while ``fossil_collect`` recomputes ``next_vt``
+        without changing it.  Entries that stop matching are therefore
+        safe to drop, never to re-push.
+        """
         vt = lp.next_vt
         if vt is not None:
             m = self.machines[self.lp_machine[lp.lid]]
             heapq.heappush(m.ready, (vt, lp.lid))
             if self._conservative:
                 heapq.heappush(self._global_ready, (vt, lp.lid))
-        return None
 
     # -- GVT ----------------------------------------------------------------------
 

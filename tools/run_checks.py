@@ -14,7 +14,11 @@ Runs, in order, stopping at the first failure:
 4. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
    --rungs 1``) — the 10k rung builds, partitions balanced, and its
    per-phase coarsen/refine wall breakdown carries every expected
-   recorder phase (the smoke asserts the breakdown keys exist).
+   recorder phase (the smoke asserts the breakdown keys exist);
+5. the perfbench smoke (``pytest perfbench/test_perfbench.py -q``) —
+   the pipeline benchmark harness's own tests (workload checks, the
+   run/child protocol, metric declarations), outside tier-1's
+   ``testpaths``.
 
 Usage::
 
@@ -52,6 +56,9 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
     ("scale-ladder smoke rung",
      [sys.executable, "benchmarks/bench_scale_ladder.py", "--rungs", "1"],
      ("src",)),
+    ("perfbench smoke",
+     [sys.executable, "-m", "pytest", "perfbench/test_perfbench.py", "-q"],
+     ()),
 ]
 
 
