@@ -11,7 +11,8 @@ import numpy as np
 
 from _shared import CFG, emit
 
-from repro.baselines import coarsen, fm_refine_bisection, multilevel_bisect
+from repro.baselines import fm_refine_bisection, multilevel_bisect
+from repro.baselines.multilevel import _coarsen
 from repro.bench import format_kv
 from repro.circuits import circuit_source, load_circuit, random_vectors
 from repro.core import design_driven_partition
@@ -66,7 +67,8 @@ def test_fm_bisection_refine(benchmark):
 
 
 def test_coarsen_stack(benchmark):
-    benchmark(lambda: coarsen(FLAT, target_vertices=96, seed=0))
+    # the shared level loop under the hMetis stand-in's policy
+    benchmark(lambda: _coarsen(FLAT, seed=0))
 
 
 def test_multilevel_bisect(benchmark):

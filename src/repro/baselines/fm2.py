@@ -22,18 +22,7 @@ import numpy as np
 
 from ..hypergraph.hypergraph import Hypergraph
 
-__all__ = ["cut_of", "fm_refine_bisection"]
-
-
-def cut_of(hg: Hypergraph, side: np.ndarray) -> int:
-    """Weighted cut of a bisection (0/1 assignment)."""
-    cut = 0
-    for e in range(hg.num_edges):
-        pins = hg.edge_vertices(e)
-        s0 = side[pins[0]]
-        if (side[pins] != s0).any():
-            cut += int(hg.edge_weight[e])
-    return cut
+__all__ = ["fm_refine_bisection"]
 
 
 def fm_refine_bisection(

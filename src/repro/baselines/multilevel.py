@@ -4,7 +4,10 @@ The paper compares against hMetis [Karypis, Aggarwal, Kumar, Shekhar]
 run on the *flattened* netlist.  This is the same algorithm family
 implemented from scratch:
 
-1. **coarsen** — heavy-edge first-choice matching down to ~100 vertices;
+1. **coarsen** — heavy-edge first-choice matching down to ~100 vertices,
+   through the same loop, matcher and projector as the production
+   engine (:func:`repro.core.multilevel.contract_levels`) under the
+   hMetis policy below;
 2. **initial partition** — several random / region-growing bisections
    of the coarsest hypergraph, each FM-refined, best kept;
 3. **uncoarsen** — project through the level stack, FM-refining the
@@ -20,18 +23,29 @@ Entry points: :func:`multilevel_bisect` (one bisection) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.multilevel import contract_levels
 from ..errors import PartitionError
 from ..hypergraph.hypergraph import Hypergraph
 from ..hypergraph.metrics import hyperedge_cut, part_weights
-from .coarsen import coarsen
-from .fm2 import cut_of, fm_refine_bisection
+from .fm2 import fm_refine_bisection
 from .initial import grow_bisection, random_bisection
 
 __all__ = ["MultilevelResult", "multilevel_bisect", "multilevel_partition"]
+
+#: hMetis coarsening policy: stop near 100 vertices, stall guard 0.9,
+#: at most 32 levels; the cluster cap keeps one coarse vertex from
+#: outweighing a bisection side (``total / (STOP_SIZE // 3)``).
+STOP_SIZE = 96
+MIN_REDUCTION = 0.9
+MAX_LEVELS = 32
+#: initial bisections tried on the coarsest hypergraph (alternating
+#: region-growing and random), best refined cut kept
+NUM_INITIAL = 8
 
 
 @dataclass
@@ -45,13 +59,18 @@ class MultilevelResult:
     part_weights: np.ndarray
 
 
+def _coarsen(hg: Hypergraph, seed: int) -> tuple[Hypergraph, list]:
+    """The shared level loop under the hMetis policy."""
+    cap = max(1, math.ceil(hg.total_weight / (STOP_SIZE // 3)))
+    return contract_levels(hg, np.random.default_rng(seed), STOP_SIZE,
+                           cap, MIN_REDUCTION, MAX_LEVELS)
+
+
 def multilevel_bisect(
     hg: Hypergraph,
     frac0: float = 0.5,
     ub: float = 5.0,
     seed: int = 0,
-    num_initial: int = 8,
-    coarsest: int = 96,
 ) -> np.ndarray:
     """Bisect ``hg`` into sides of ``frac0`` / ``1 - frac0`` weight.
 
@@ -59,13 +78,7 @@ def multilevel_bisect(
     hypergraph's* total weight (the hMetis UBfactor convention).
     Returns a 0/1 side array.
     """
-    total = hg.total_weight
-    t0 = frac0 * total
-    slack = total * ub / 100.0
-    bounds0 = (max(t0 - slack, 0.0), min(t0 + slack, float(total)))
-    bounds1 = (max(total - t0 - slack, 0.0), min(total - t0 + slack, float(total)))
-
-    coarsest_hg, levels = coarsen(hg, target_vertices=coarsest, seed=seed)
+    coarsest_hg, levels = _coarsen(hg, seed)
     rng = np.random.default_rng(seed + 0x5EED)
 
     # initial candidates on the coarsest hypergraph
@@ -76,13 +89,13 @@ def multilevel_bisect(
     c_b1 = (max(c_total - c_t0 - c_slack, 0.0), c_total - c_t0 + c_slack)
     best_side: np.ndarray | None = None
     best_cut = None
-    for trial in range(num_initial):
+    for trial in range(NUM_INITIAL):
         if trial % 2 == 0:
             side = grow_bisection(coarsest_hg, c_t0, rng)
         else:
             side = random_bisection(coarsest_hg, c_t0, rng)
         fm_refine_bisection(coarsest_hg, side, c_b0, c_b1)
-        cut = cut_of(coarsest_hg, side)
+        cut = hyperedge_cut(coarsest_hg, side)
         if best_cut is None or cut < best_cut:
             best_cut = cut
             best_side = side.copy()
@@ -109,7 +122,6 @@ def multilevel_partition(
     k: int,
     b: float,
     seed: int = 0,
-    num_initial: int = 8,
 ) -> MultilevelResult:
     """k-way partition by recursive multilevel bisection.
 
@@ -124,7 +136,7 @@ def multilevel_partition(
             f"cannot make {k} partitions from {hg.num_vertices} vertices"
         )
     assignment = np.zeros(hg.num_vertices, dtype=np.int64)
-    _recursive(hg, np.arange(hg.num_vertices), k, 0, b, seed, num_initial, assignment)
+    _recursive(hg, np.arange(hg.num_vertices), k, 0, b, seed, assignment)
     return MultilevelResult(
         assignment=assignment,
         k=k,
@@ -141,33 +153,27 @@ def _recursive(
     first_part: int,
     b: float,
     seed: int,
-    num_initial: int,
     assignment: np.ndarray,
 ) -> None:
     if k == 1:
         assignment[vertices] = first_part
         return
-    sub, back = _induced(root, vertices)
+    sub = _induced(root, vertices)
     k0 = k // 2
     frac0 = k0 / k
-    side = multilevel_bisect(
-        sub, frac0=frac0, ub=b, seed=seed, num_initial=num_initial
-    )
+    side = multilevel_bisect(sub, frac0=frac0, ub=b, seed=seed)
     left = vertices[side == 0]
     right = vertices[side == 1]
     if len(left) == 0 or len(right) == 0:
         # degenerate split (tiny inputs): fall back to a weight split
         order = vertices[np.argsort(-root.vertex_weight[vertices])]
         left, right = order[::2], order[1::2]
-    _recursive(root, left, k0, first_part, b, seed * 31 + 1, num_initial, assignment)
-    _recursive(
-        root, right, k - k0, first_part + k0, b, seed * 31 + 2, num_initial, assignment
-    )
+    _recursive(root, left, k0, first_part, b, seed * 31 + 1, assignment)
+    _recursive(root, right, k - k0, first_part + k0, b, seed * 31 + 2,
+               assignment)
 
 
-def _induced(
-    hg: Hypergraph, vertices: np.ndarray
-) -> tuple[Hypergraph, np.ndarray]:
+def _induced(hg: Hypergraph, vertices: np.ndarray) -> Hypergraph:
     """Sub-hypergraph induced by a vertex subset.
 
     Hyperedges are restricted to their pins inside the subset; the
@@ -189,7 +195,6 @@ def _induced(
             if len(pins) >= 2:
                 edges.append(pins)
                 weights.append(int(hg.edge_weight[e]))
-    sub = Hypergraph.from_edges(
+    return Hypergraph.from_edges(
         hg.vertex_weight[vertices].tolist(), edges, weights
     )
-    return sub, vertices

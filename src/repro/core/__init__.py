@@ -43,7 +43,6 @@ from .parallel_refine import (
 )
 from .multiway import MultiwayResult, design_driven_partition
 from .multilevel import (
-    MultilevelConfig,
     MultilevelKwayResult,
     MultilevelLevel,
     coarsen_hypergraph,
@@ -92,7 +91,6 @@ __all__ = [
     "tournament_rounds",
     "MultiwayResult",
     "design_driven_partition",
-    "MultilevelConfig",
     "MultilevelKwayResult",
     "MultilevelLevel",
     "coarsen_hypergraph",

@@ -1,12 +1,14 @@
 """Production multilevel k-way partitioner on the vectorized core.
 
-The hMetis-style baseline (:mod:`repro.baselines.multilevel`) proved
-the multilevel idea on this codebase but predates the vectorized
-substrate: it recursively bisects induced sub-hypergraphs with its own
-two-way FM and never touches :class:`PartitionState`, the obs recorder
-or the parallel refinement engine.  This module is the production
-rewrite — a *direct k-way* multilevel pipeline built entirely from the
-repo's first-class machinery::
+This module holds the only coarsening engine: :func:`contract_levels`
+matches and contracts level by level, and both partitioners call it.
+The hMetis-style baseline (:mod:`repro.baselines.multilevel`) shares
+the matcher and projector and differs only in policy — recursive
+bisection, its own stop size and cluster cap, and two-way FM that never
+touches :class:`PartitionState`, the obs recorder or the parallel
+refinement engine.  The production engine here is a *direct k-way*
+multilevel pipeline built entirely from the repo's first-class
+machinery::
 
     coarsen      heavy-edge first-choice matching, weight-aware
                  (no cluster may exceed a balance-implied cap),
@@ -56,9 +58,9 @@ from .fm import rebalance_pair
 from .parallel_refine import PairwiseRefiner, pairing_rounds
 
 __all__ = [
-    "MultilevelConfig",
     "MultilevelLevel",
     "MultilevelKwayResult",
+    "contract_levels",
     "coarsen_hypergraph",
     "multilevel_kway_partition",
     "direct_kway_partition",
@@ -66,45 +68,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultilevelConfig:
-    """Tuning knobs of the multilevel pipeline (all deterministic).
-
-    ``coarsest_vertices`` / ``coarsest_per_part`` set the stop size:
-    coarsening halts at ``max(coarsest_vertices, coarsest_per_part*k)``
-    vertices.  ``min_reduction`` is the stall guard — a level that
-    shrinks the vertex count by less than ``1 - min_reduction`` ends
-    the hierarchy.  ``match_weight_fraction`` caps cluster growth:
-    no match may create a vertex heavier than that fraction of the
-    Formula-1 upper load bound, so the coarsest hypergraph always
-    remains packable into a balanced k-way partition.
-    """
-
-    coarsest_vertices: int = 160
-    coarsest_per_part: int = 24
-    min_reduction: float = 0.95
-    max_levels: int = 48
-    match_weight_fraction: float = 0.5
-    large_edge_limit: int = 48
-    num_initial: int = 4
-    max_fm_passes: int = 4
-    max_rounds: int = 8
-    #: batch refiner only: levels larger than this run the greedy
-    #: descent without kick perturbation.  A kick re-runs the whole
-    #: descent up to 8 times for a marginal cut polish — affordable at
-    #: 100k vertices, minutes of wall at a million.  The threshold sits
-    #: above every committed benchmark size, so results at or below
-    #: 100k vertices are unchanged; the scale-ladder rungs above it
-    #: trade that polish for a bounded wall.
-    batch_kick_vertex_limit: int = 200_000
-
-    def stop_size(self, k: int) -> int:
-        return max(self.coarsest_vertices, self.coarsest_per_part * k)
-
-    def max_cluster_weight(self, constraint: BalanceConstraint,
-                           total_weight: int) -> int:
-        _, hi = constraint.bounds(total_weight)
-        return max(1, int(hi * self.match_weight_fraction))
+#: Coarsening stops at ``max(COARSEST_VERTICES, COARSEST_PER_PART * k)``.
+COARSEST_VERTICES = 160
+COARSEST_PER_PART = 24
+#: Stall guard: a level that shrinks the vertex count by less than
+#: ``1 - MIN_REDUCTION`` ends the hierarchy.
+MIN_REDUCTION = 0.95
+MAX_LEVELS = 48
+#: Packability cap: no match may create a vertex heavier than this
+#: fraction of the Formula-1 upper load bound, so the coarsest
+#: hypergraph always remains packable into a balanced k-way partition.
+MATCH_WEIGHT_FRACTION = 0.5
+#: Edges wider than this carry no locality signal (clock/reset nets)
+#: and are ignored for matching scores; both engines use it.
+LARGE_EDGE_LIMIT = 48
+#: Initial candidates, FM passes per pair, pairing rounds per refinement.
+NUM_INITIAL = 4
+MAX_FM_PASSES = 4
+MAX_ROUNDS = 8
+#: Batch refiner only: levels larger than this run the greedy descent
+#: without kick perturbation.  A kick re-runs the whole descent up to 8
+#: times for a marginal cut polish — affordable at 100k vertices,
+#: minutes of wall at a million.  The threshold sits above every
+#: committed benchmark size, so results at or below 100k vertices are
+#: unchanged; the scale-ladder rungs above it trade that polish for a
+#: bounded wall.
+BATCH_KICK_VERTEX_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -252,8 +241,8 @@ def _heavy_edge_matching(
     level in one vectorized pass (:func:`_matching_candidates`); the
     sequential visit loop only filters matched/over-weight candidates
     and takes the first maximum — ascending candidate ids and strict
-    ``>`` keep the lowest id on ties, exactly the retained reference
-    (:func:`_heavy_edge_matching_reference`, pinned bit-identical by
+    ``>`` keep the lowest id on ties, exactly the scalar reference kept
+    in ``tests/coarsen_oracles.py`` (pinned bit-identical by
     ``tests/test_coarsen_vectorized.py``).
 
     Returns ``(mapping, matched_pairs, match_score)`` where ``mapping``
@@ -297,124 +286,72 @@ def _heavy_edge_matching(
     return mapping.astype(np.int64, copy=False), matched_pairs, match_score
 
 
-def _heavy_edge_matching_reference(
+def contract_levels(
     hg: Hypergraph,
     rng: np.random.Generator,
-    max_weight: int,
-    large_edge_limit: int,
-) -> tuple[np.ndarray, int, float]:
-    """Scalar dict-accumulation matching — the retained oracle.
+    stop_size: int,
+    max_cluster_weight: int,
+    min_reduction: float,
+    max_levels: int,
+) -> tuple[Hypergraph, list[MultilevelLevel]]:
+    """Match and contract ``hg`` level by level; the one coarsening loop.
 
-    The pre-vectorization implementation, kept verbatim so the
-    randomized bit-identity test can pin :func:`_heavy_edge_matching`
-    (mapping, pair count and float score all exactly equal) against
-    the original semantics across seeds and adversarial edge shapes.
+    Returns ``(coarsest hypergraph, levels finest-first)``.  Stops at
+    ``stop_size`` vertices, after ``max_levels``, or when a level
+    shrinks less than the ``min_reduction`` stall guard.  The k-way
+    engine and the hMetis stand-in differ only in these policy values.
     """
-    n = hg.num_vertices
-    vertex_weight = hg.vertex_weight_list
-    edge_weight = hg.edge_weight_list
-    vertex_edges = hg.vertex_edges_lists()
-    pins_of = hg.edge_pins_lists()
-
-    match = [-1] * n
-    matched_pairs = 0
-    match_score = 0.0
-    for v in rng.permutation(n).tolist():
-        if match[v] != -1:
-            continue
-        scores: dict[int, float] = {}
-        for e in vertex_edges[v]:
-            pins = pins_of[e]
-            size = len(pins)
-            if size < 2 or size > large_edge_limit:
-                continue
-            w = edge_weight[e] / (size - 1)
-            for u in pins:
-                if u != v and match[u] == -1:
-                    scores[u] = scores.get(u, 0.0) + w
-        best_u = -1
-        best_score = 0.0
-        wv = vertex_weight[v]
-        for u in sorted(scores):  # ascending ids: strict > keeps lowest tie
-            if wv + vertex_weight[u] > max_weight:
-                continue
-            s = scores[u]
-            if s > best_score:
-                best_score = s
-                best_u = u
-        if best_u != -1:
-            match[v] = best_u
-            match[best_u] = v
-            matched_pairs += 1
-            match_score += best_score
-        else:
-            match[v] = v
-
-    mapping = [-1] * n
-    next_id = 0
-    for v in range(n):
-        if mapping[v] != -1:
-            continue
-        mapping[v] = next_id
-        partner = match[v]
-        if partner != v and mapping[partner] == -1:
-            mapping[partner] = next_id
-        next_id += 1
-    return np.asarray(mapping, dtype=np.int64), matched_pairs, match_score
+    levels: list[MultilevelLevel] = []
+    current = hg
+    for _ in range(max_levels):
+        if current.num_vertices <= stop_size:
+            break
+        mapping, pairs, score = _heavy_edge_matching(
+            current, rng, max_cluster_weight, LARGE_EDGE_LIMIT
+        )
+        coarse = project_hypergraph(current, mapping)
+        if coarse.num_vertices >= current.num_vertices * min_reduction:
+            break  # diminishing returns: stop the hierarchy here
+        levels.append(MultilevelLevel(
+            fine=current, coarse=coarse, mapping=mapping,
+            max_cluster_weight=max_cluster_weight, matched_pairs=pairs,
+            match_score=score,
+        ))
+        current = coarse
+    return current, levels
 
 
 def coarsen_hypergraph(
     hg: Hypergraph,
     constraint: BalanceConstraint,
     seed: int = 0,
-    config: MultilevelConfig | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> tuple[Hypergraph, list[MultilevelLevel]]:
-    """Build the coarsening hierarchy for a k-way run.
-
-    Returns ``(coarsest hypergraph, levels finest-first)``.  Stops at
-    the config's stop size, after ``max_levels``, or when a level
-    shrinks less than the ``min_reduction`` stall guard.  The matching
-    cap is fixed across levels at
-    :meth:`MultilevelConfig.max_cluster_weight` — a fraction of the
-    Formula-1 upper bound, so packability survives contraction.
-    """
-    cfg = config if config is not None else MultilevelConfig()
-    target = cfg.stop_size(constraint.k)
-    max_w = cfg.max_cluster_weight(constraint, hg.total_weight)
-    rng = np.random.default_rng(seed)
-    levels: list[MultilevelLevel] = []
-    current = hg
-    matched_pairs = 0
-    match_score = 0.0
-    for _ in range(cfg.max_levels):
-        if current.num_vertices <= target:
-            break
-        mapping, pairs, score = _heavy_edge_matching(
-            current, rng, max_w, cfg.large_edge_limit
-        )
-        coarse = project_hypergraph(current, mapping)
-        if coarse.num_vertices >= current.num_vertices * cfg.min_reduction:
-            break  # diminishing returns: stop the hierarchy here
-        levels.append(MultilevelLevel(
-            fine=current, coarse=coarse, mapping=mapping,
-            max_cluster_weight=max_w, matched_pairs=pairs,
-            match_score=score,
-        ))
-        matched_pairs += pairs
-        match_score += score
-        current = coarse
+    """:func:`contract_levels` under the k-way policy constants, plus
+    the ``part.ml.*`` coarsening counters."""
+    _, hi = constraint.bounds(hg.total_weight)
+    coarsest, levels = contract_levels(
+        hg, np.random.default_rng(seed),
+        stop_size=max(COARSEST_VERTICES, COARSEST_PER_PART * constraint.k),
+        max_cluster_weight=max(1, int(hi * MATCH_WEIGHT_FRACTION)),
+        min_reduction=MIN_REDUCTION,
+        max_levels=MAX_LEVELS,
+    )
     if recorder.enabled:
+        match_score = 0.0  # left to right: sum() compensates on 3.12+
+        for level in levels:
+            match_score += level.match_score
         recorder.incr("part.ml.levels", len(levels))
-        recorder.incr("part.ml.coarse_vertices", current.num_vertices)
-        recorder.incr("part.ml.matched_pairs", matched_pairs)
+        recorder.incr("part.ml.coarse_vertices", coarsest.num_vertices)
+        recorder.incr("part.ml.matched_pairs",
+                      sum(level.matched_pairs for level in levels))
         recorder.incr("part.ml.match_weight", round(match_score, 3))
-        if current.num_vertices:
+        if coarsest.num_vertices:
             recorder.observe_max(
                 "part.ml.reduction",
-                round(hg.num_vertices / current.num_vertices, 4),
+                round(hg.num_vertices / coarsest.num_vertices, 4),
             )
-    return current, levels
+    return coarsest, levels
 
 
 # -- initial partition ------------------------------------------------------
@@ -439,9 +376,7 @@ def _improve(
     rounds_fn,
     engine: PairwiseRefiner,
     rng: np.random.Generator,
-    cfg: MultilevelConfig,
     refiner: str = "fm",
-    balance_fallback: bool = False,
     recorder: Recorder = NULL_RECORDER,
 ) -> int:
     """Refine to stability with the selected refiner.
@@ -453,26 +388,21 @@ def _improve(
     its fixpoint.  A batch round is one synchronous gather/select/apply
     step — far finer-grained than a pairing round — so the FM round cap
     does not apply; the refiner's own generous default cap backstops
-    the natural fixpoint exit.  ``balance_fallback`` (batch only)
-    forwards the next-best-destination retry mode; it defaults off —
-    measured at 100k vertices, the retries buy a better coarsest cut
-    but a worse final one (greedy churn), so only genuinely
-    window-bound callers should enable it.
+    the natural fixpoint exit.  The batch refiner's
+    ``balance_fallback`` retries stay off: measured at 100k vertices
+    they buy a better coarsest cut but a worse final one (greedy churn).
     """
     if refiner == "batch":
-        kicks = 8 if state.hg.num_vertices <= cfg.batch_kick_vertex_limit \
-            else 0
-        return batch_refine(state, constraint,
-                            balance_fallback=balance_fallback,
-                            max_kicks=kicks,
+        kicks = 8 if state.hg.num_vertices <= BATCH_KICK_VERTEX_LIMIT else 0
+        return batch_refine(state, constraint, max_kicks=kicks,
                             recorder=recorder).rounds
     rounds = 0
-    for _ in range(cfg.max_rounds):
+    for _ in range(MAX_ROUNDS):
         schedule = rounds_fn(state, rng)
         gain = 0
         for pair_round in schedule:
             gain += engine.refine_round(
-                state, pair_round, constraint, max_passes=cfg.max_fm_passes,
+                state, pair_round, constraint, max_passes=MAX_FM_PASSES,
             )
         rounds += 1
         if gain <= 0:
@@ -501,14 +431,13 @@ def _initial_partition(
     coarsest: Hypergraph,
     k: int,
     constraint: BalanceConstraint,
-    cfg: MultilevelConfig,
     rounds_fn,
     engine: PairwiseRefiner,
     rng: np.random.Generator,
     recorder: Recorder,
     refiner: str = "fm",
 ) -> tuple[PartitionState, int]:
-    """Best of ``num_initial`` greedy candidates on the coarsest level.
+    """Best of ``NUM_INITIAL`` greedy candidates on the coarsest level.
 
     Candidate 0 is the LPT fill (heaviest vertex first, lightest
     partition); the rest are greedy fills in seeded random orders.
@@ -522,13 +451,13 @@ def _initial_partition(
     best: tuple[float, int, int] | None = None
     best_state: PartitionState | None = None
     rounds_total = 0
-    for idx in range(max(1, cfg.num_initial)):
+    for idx in range(NUM_INITIAL):
         order = lpt if idx == 0 else rng.permutation(n).tolist()
         state = PartitionState(
             coarsest, k, _greedy_fill(vertex_weight, k, order)
         )
         rounds_total += _improve(state, constraint, rounds_fn, engine,
-                                 rng, cfg, refiner=refiner,
+                                 rng, refiner=refiner,
                                  recorder=recorder)
         _repair(state, constraint, recorder)
         key = (constraint.violation(state.part_weight), state.cut_size, idx)
@@ -558,7 +487,6 @@ def multilevel_kway_partition(
     seed: int = 0,
     workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
-    config: MultilevelConfig | None = None,
     refiner: str = "fm",
 ) -> MultilevelKwayResult:
     """Direct k-way multilevel partitioning of a hypergraph.
@@ -583,9 +511,6 @@ def multilevel_kway_partition(
         FM / refine counter families and the ``partition.coarsen`` /
         ``partition.initial`` / ``partition.uncoarsen`` phases.  A
         recorder never changes the result.
-    config:
-        :class:`MultilevelConfig` overrides (stop size, matching cap,
-        candidate and pass budgets).
     refiner:
         Per-level refiner: ``"fm"`` (tournament-paired heap FM through
         the parallel engine) or ``"batch"`` (the data-parallel
@@ -595,14 +520,13 @@ def multilevel_kway_partition(
     """
     _validate(hg, k)
     validate_refiner(refiner)
-    cfg = config if config is not None else MultilevelConfig()
     constraint = BalanceConstraint(k, b)
     rng = np.random.default_rng(seed)
     history: list[str] = []
 
     with recorder.phase("partition.coarsen"):
         coarsest, levels = coarsen_hypergraph(
-            hg, constraint, seed=seed, config=cfg, recorder=recorder
+            hg, constraint, seed=seed, recorder=recorder
         )
     history.append(
         f"coarsen: {hg.num_vertices} -> {coarsest.num_vertices} vertices "
@@ -616,7 +540,7 @@ def multilevel_kway_partition(
     try:
         with recorder.phase("partition.initial"):
             state, initial_rounds = _initial_partition(
-                coarsest, k, constraint, cfg, rounds_fn, engine, rng,
+                coarsest, k, constraint, rounds_fn, engine, rng,
                 recorder, refiner=refiner,
             )
         refine_rounds += initial_rounds
@@ -626,8 +550,7 @@ def multilevel_kway_partition(
             f"loads={state.part_weight.tolist()}"
         )
         if recorder.enabled:
-            recorder.incr("part.ml.initial_candidates",
-                          max(1, cfg.num_initial))
+            recorder.incr("part.ml.initial_candidates", NUM_INITIAL)
             recorder.incr("part.ml.initial_cut", initial_cut)
             recorder.observe_max("part.ml.level_cut", initial_cut)
         with recorder.phase("partition.uncoarsen"):
@@ -636,7 +559,7 @@ def multilevel_kway_partition(
                     level.fine, k, state.part[level.mapping]
                 )
                 refine_rounds += _improve(state, constraint, rounds_fn,
-                                          engine, rng, cfg,
+                                          engine, rng,
                                           refiner=refiner,
                                           recorder=recorder)
                 _repair(state, constraint, recorder)
@@ -680,7 +603,6 @@ def direct_kway_partition(
     seed: int = 0,
     workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
-    config: MultilevelConfig | None = None,
     refiner: str = "fm",
 ) -> MultilevelKwayResult:
     """Flat direct k-way partitioning — the no-hierarchy comparator.
@@ -698,7 +620,6 @@ def direct_kway_partition(
     """
     _validate(hg, k)
     validate_refiner(refiner)
-    cfg = config if config is not None else MultilevelConfig()
     constraint = BalanceConstraint(k, b)
     rng = np.random.default_rng(seed)
     history: list[str] = []
@@ -720,7 +641,7 @@ def direct_kway_partition(
         )
         with recorder.phase("partition.refine"):
             refine_rounds = _improve(state, constraint, rounds_fn, engine,
-                                     rng, cfg, refiner=refiner,
+                                     rng, refiner=refiner,
                                      recorder=recorder)
         _repair(state, constraint, recorder)
         history.append(
@@ -753,7 +674,6 @@ def multilevel_flat_partition(
     seed: int = 0,
     workers: int | None = None,
     recorder: Recorder = NULL_RECORDER,
-    config: MultilevelConfig | None = None,
     refiner: str = "fm",
 ) -> MultilevelKwayResult:
     """Multilevel k-way partition of a netlist's flat gate hypergraph.
@@ -766,5 +686,5 @@ def multilevel_flat_partition(
     """
     return multilevel_kway_partition(
         flat_hypergraph(netlist), k, b, seed=seed, workers=workers,
-        recorder=recorder, config=config, refiner=refiner,
+        recorder=recorder, refiner=refiner,
     )

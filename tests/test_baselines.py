@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
-    coarsen,
-    coarsen_once,
-    cut_of,
     fm_refine_bisection,
     grow_bisection,
     multilevel_bisect,
@@ -16,6 +13,8 @@ from repro.baselines import (
     random_bisection,
     random_partition,
 )
+from repro.baselines.multilevel import STOP_SIZE, _coarsen
+from repro.core.multilevel import contract_levels
 from repro.errors import PartitionError
 from repro.hypergraph import Hypergraph, flat_hypergraph, hyperedge_cut, part_weights
 
@@ -41,10 +40,10 @@ class TestFM2:
     def test_gain_equals_cut_delta(self, hg, seed):
         rng = np.random.default_rng(seed)
         side = rng.integers(0, 2, size=hg.num_vertices).astype(np.int64)
-        before = cut_of(hg, side)
+        before = hyperedge_cut(hg, side)
         total = hg.total_weight
         gain = fm_refine_bisection(hg, side, (0, total), (0, total))
-        after = cut_of(hg, side)
+        after = hyperedge_cut(hg, side)
         assert before - after == gain
         assert gain >= 0
 
@@ -62,7 +61,7 @@ class TestFM2:
         hg = Hypergraph.from_edges([1] * 6, edges)
         side = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
         fm_refine_bisection(hg, side, (2, 4), (2, 4))
-        assert cut_of(hg, side) == 1
+        assert hyperedge_cut(hg, side) == 1
 
     def test_empty_graph(self):
         hg = Hypergraph.from_edges([], [])
@@ -70,36 +69,56 @@ class TestFM2:
         assert fm_refine_bisection(hg, side, (0, 1), (0, 1)) == 0
 
 
+def contract_all(hg, seed):
+    """The shared level loop with no stop size, cap or stall guard, so
+    the small hypothesis hypergraphs coarsen through several levels."""
+    return contract_levels(
+        hg, np.random.default_rng(seed), stop_size=1,
+        max_cluster_weight=hg.total_weight, min_reduction=1.0,
+        max_levels=32,
+    )
+
+
 class TestCoarsen:
     @given(any_hg(), st.integers(0, 50))
     @settings(max_examples=50, deadline=None)
     def test_weight_preserved(self, hg, seed):
-        rng = np.random.default_rng(seed)
-        coarse, mapping = coarsen_once(hg, rng, max_vertex_weight=hg.total_weight)
-        assert coarse.total_weight == hg.total_weight
-        assert coarse.num_vertices <= hg.num_vertices
-        assert len(mapping) == hg.num_vertices
-        assert mapping.max() == coarse.num_vertices - 1
+        coarsest, levels = contract_all(hg, seed)
+        assert coarsest.total_weight == hg.total_weight
+        for level in levels:
+            assert level.coarse.total_weight == level.fine.total_weight
+            assert level.coarse.num_vertices < level.fine.num_vertices
+            assert len(level.mapping) == level.fine.num_vertices
+            assert level.mapping.max() == level.coarse.num_vertices - 1
 
     @given(any_hg(), st.integers(0, 50))
     @settings(max_examples=50, deadline=None)
     def test_cut_projection_consistent(self, hg, seed):
         """A coarse bisection's cut equals the projected fine cut."""
+        _, levels = contract_all(hg, seed)
         rng = np.random.default_rng(seed)
-        coarse, mapping = coarsen_once(hg, rng, max_vertex_weight=hg.total_weight)
-        cside = rng.integers(0, 2, size=coarse.num_vertices).astype(np.int64)
-        fside = cside[mapping]
-        # coarse cut uses accumulated edge weights; dropped single-pin
-        # coarse edges were uncuttable anyway
-        assert cut_of(coarse, cside) == cut_of(hg, fside)
+        for level in levels:
+            cside = rng.integers(0, 2, size=level.coarse.num_vertices)
+            fside = cside[level.mapping]
+            # coarse cut uses accumulated edge weights; dropped
+            # single-pin coarse edges were uncuttable anyway
+            assert (hyperedge_cut(level.coarse, cside)
+                    == hyperedge_cut(level.fine, fside))
 
     def test_level_stack(self, viterbi_test):
+        """The hMetis policy: stop size, cluster cap, chained levels."""
         hg = flat_hypergraph(viterbi_test)
-        coarsest, levels = coarsen(hg, target_vertices=40, seed=0)
-        assert coarsest.num_vertices <= max(40, hg.num_vertices)
+        coarsest, levels = _coarsen(hg, seed=0)
+        assert levels and levels[0].fine is hg
         assert coarsest.total_weight == hg.total_weight
-        # mapping chain composes back to the finest graph
-        assert levels[0].fine is hg
+        for fine_level, coarse_level in zip(levels, levels[1:]):
+            assert coarse_level.fine is fine_level.coarse
+        assert levels[-1].coarse is coarsest
+        # the loop only contracts hypergraphs above the stop size
+        assert all(lv.fine.num_vertices > STOP_SIZE for lv in levels)
+        cap = levels[0].max_cluster_weight
+        assert cap == -(-hg.total_weight // (STOP_SIZE // 3))
+        assert int(coarsest.vertex_weight.max()) <= cap
 
 
 class TestInitial:
@@ -113,7 +132,7 @@ class TestInitial:
         hg = Hypergraph.from_edges([1] * 10, [[i, i + 1] for i in range(9)])
         side = grow_bisection(hg, 5, np.random.default_rng(0))
         # grown region of a path is contiguous: cut must be 1 or 2
-        assert cut_of(hg, side) <= 2
+        assert hyperedge_cut(hg, side) <= 2
 
 
 class TestMultilevel:

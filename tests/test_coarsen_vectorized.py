@@ -5,8 +5,8 @@ partitions for a fixed seed, so the vectorized matcher, projection and
 gain-gather kernels must reproduce their scalar predecessors *exactly*
 — same mapping ints, same float scores bit for bit, same CSR arrays.
 This module pins each against its retained reference implementation
-(:func:`repro.core.multilevel._heavy_edge_matching_reference`,
-:func:`repro.hypergraph.build._project_hypergraph_reference`) across
+(``heavy_edge_matching_reference`` and ``project_hypergraph_reference``
+in ``tests/coarsen_oracles.py``) across
 randomized seeds, k and adversarial edge shapes (edges that collapse
 after contraction, clock-net-wide edges past the scoring limit,
 all-parallel edge bundles), plus a forced fingerprint-collision stress
@@ -19,19 +19,17 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.core.multilevel as ml
 import repro.hypergraph.build as build_mod
 from repro.core import BalanceConstraint, multilevel_kway_partition
 from repro.core.batch_refine import batch_refine
-from repro.core.multilevel import (
-    MultilevelConfig,
-    _heavy_edge_matching,
-    _heavy_edge_matching_reference,
-)
+from repro.core.multilevel import _heavy_edge_matching
 from repro.errors import HypergraphError
 from repro.hypergraph import Hypergraph, PartitionState
-from repro.hypergraph.build import (
-    _project_hypergraph_reference,
-    project_hypergraph,
+from repro.hypergraph.build import project_hypergraph
+from tests.coarsen_oracles import (
+    heavy_edge_matching_reference,
+    project_hypergraph_reference,
 )
 
 
@@ -81,7 +79,7 @@ class TestMatchingOracle:
             limit = int(rng.integers(2, 12))
             got = _heavy_edge_matching(
                 hg, np.random.default_rng(seed), max_w, limit)
-            want = _heavy_edge_matching_reference(
+            want = heavy_edge_matching_reference(
                 hg, np.random.default_rng(seed), max_w, limit)
             assert np.array_equal(got[0], want[0]), f"mapping @ {trial}"
             assert got[0].dtype == want[0].dtype == np.int64
@@ -97,13 +95,12 @@ class TestMatchingOracle:
         from repro.hypergraph.build import streamed_flat_hypergraph
 
         hg = streamed_flat_hypergraph(load_stream_circuit("viterbi-s10k"))
-        cfg = MultilevelConfig()
-        constraint = BalanceConstraint(8, 5.0)
-        max_w = cfg.max_cluster_weight(constraint, hg.total_weight)
+        _, hi = BalanceConstraint(8, 5.0).bounds(hg.total_weight)
+        max_w = max(1, int(hi * ml.MATCH_WEIGHT_FRACTION))
         got = _heavy_edge_matching(
-            hg, np.random.default_rng(1), max_w, cfg.large_edge_limit)
-        want = _heavy_edge_matching_reference(
-            hg, np.random.default_rng(1), max_w, cfg.large_edge_limit)
+            hg, np.random.default_rng(1), max_w, ml.LARGE_EDGE_LIMIT)
+        want = heavy_edge_matching_reference(
+            hg, np.random.default_rng(1), max_w, ml.LARGE_EDGE_LIMIT)
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
 
@@ -112,7 +109,7 @@ class TestMatchingOracle:
         hg = Hypergraph.from_edges([5, 5, 1, 1], [[0, 1], [2, 3]])
         mapping, pairs, _ = _heavy_edge_matching(
             hg, np.random.default_rng(0), 4, 8)
-        ref = _heavy_edge_matching_reference(
+        ref = heavy_edge_matching_reference(
             hg, np.random.default_rng(0), 4, 8)
         assert np.array_equal(mapping, ref[0])
         assert pairs == ref[1] == 1
@@ -126,7 +123,7 @@ class TestProjectionOracle:
             hg = random_hypergraph(rng, adversarial=trial % 4)
             mapping = surjective_mapping(rng, hg.num_vertices)
             got = project_hypergraph(hg, mapping)
-            want = _project_hypergraph_reference(hg, mapping)
+            want = project_hypergraph_reference(hg, mapping)
             assert graphs_equal(got, want), f"trial {trial}"
 
     def test_all_edges_collapse(self):
@@ -134,7 +131,7 @@ class TestProjectionOracle:
         hg = Hypergraph.from_edges([1, 1, 1, 1], [[0, 1], [2, 3], [0, 1]])
         mapping = np.array([0, 0, 1, 1])
         got = project_hypergraph(hg, mapping)
-        assert graphs_equal(got, _project_hypergraph_reference(hg, mapping))
+        assert graphs_equal(got, project_hypergraph_reference(hg, mapping))
         assert got.num_edges == 0 and got.num_vertices == 2
 
     def test_all_parallel_merge_weights(self):
@@ -142,7 +139,7 @@ class TestProjectionOracle:
             [1, 1, 1, 1], [[0, 2], [1, 3], [0, 3], [1, 2]], [2, 3, 5, 7])
         mapping = np.array([0, 0, 1, 1])  # every edge becomes {0, 1}
         got = project_hypergraph(hg, mapping)
-        assert graphs_equal(got, _project_hypergraph_reference(hg, mapping))
+        assert graphs_equal(got, project_hypergraph_reference(hg, mapping))
         assert got.num_edges == 1
         assert int(got.edge_weight[0]) == 17
 
@@ -162,7 +159,7 @@ class TestProjectionOracle:
                                    adversarial=trial % 4)
             mapping = surjective_mapping(rng, hg.num_vertices)
             got = project_hypergraph(hg, mapping)
-            want = _project_hypergraph_reference(hg, mapping)
+            want = project_hypergraph_reference(hg, mapping)
             assert graphs_equal(got, want), f"collision trial {trial}"
 
 

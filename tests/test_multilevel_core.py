@@ -18,7 +18,6 @@ from repro.circuits import circuit_source, load_circuit, random_vectors
 from repro.cli import main
 from repro.core import (
     BalanceConstraint,
-    MultilevelConfig,
     brute_force_presim,
     coarsen_hypergraph,
     direct_kway_partition,
@@ -79,11 +78,18 @@ class TestCoarsening:
         assert coarsest is current
 
     def test_stop_size_honored(self, hg):
-        constraint = BalanceConstraint(2, 10.0)
-        cfg = MultilevelConfig(coarsest_vertices=300, coarsest_per_part=10)
-        coarsest, levels = coarsen_hypergraph(hg, constraint, config=cfg)
-        # stopped at/above the target, and the level before was above it
-        assert levels[-1].fine.num_vertices > 300
+        import repro.core.multilevel as ml
+
+        # k=2 stops at COARSEST_VERTICES, k=12 at COARSEST_PER_PART * k
+        for k in (2, 12):
+            stop = max(ml.COARSEST_VERTICES, ml.COARSEST_PER_PART * k)
+            coarsest, levels = coarsen_hypergraph(
+                hg, BalanceConstraint(k, 10.0))
+            # every level contracted a hypergraph above the stop size,
+            # and the hierarchy ended at or below it
+            assert levels
+            assert all(level.fine.num_vertices > stop for level in levels)
+            assert coarsest.num_vertices <= stop
 
     def test_projection_is_cut_exact(self, hg):
         """Randomized oracle: for any assignment, the coarse cut equals
@@ -174,11 +180,14 @@ class TestMultilevelKway:
         assert r.cut_size == hyperedge_cut(hg, r.assignment)
 
     def test_batch_kick_gate_by_level_size(self, hg, monkeypatch):
-        """Levels above ``batch_kick_vertex_limit`` refine without kick
+        """Levels above ``BATCH_KICK_VERTEX_LIMIT`` refine without kick
         perturbation (the million-vertex wall guard); levels at or
         below it keep the refiner's full default budget."""
         import repro.core.multilevel as ml
 
+        # the limit sits above every committed benchmark size, so
+        # existing results are unchanged by the gate
+        assert ml.BATCH_KICK_VERTEX_LIMIT == 200_000
         seen = []
         real = ml.batch_refine
 
@@ -187,18 +196,14 @@ class TestMultilevelKway:
             return real(state, constraint, **kw)
 
         monkeypatch.setattr(ml, "batch_refine", spy)
-        cfg = MultilevelConfig(batch_kick_vertex_limit=600)
-        r = multilevel_kway_partition(hg, 3, 10.0, seed=1,
-                                      refiner="batch", config=cfg)
+        monkeypatch.setattr(ml, "BATCH_KICK_VERTEX_LIMIT", 600)
+        r = multilevel_kway_partition(hg, 3, 10.0, seed=1, refiner="batch")
         assert r.balanced
         assert seen, "batch refiner never invoked"
         for n, kicks in seen:
             assert kicks == (8 if n <= 600 else 0), (n, kicks)
         assert any(n > 600 for n, _ in seen)
         assert any(n <= 600 for n, _ in seen)
-        # the default limit sits above every committed benchmark size,
-        # so existing results are unchanged by the gate
-        assert MultilevelConfig().batch_kick_vertex_limit == 200_000
 
     def test_to_simulation_partitions_every_gate(self):
         netlist = load_circuit("cpu-test")

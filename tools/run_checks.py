@@ -8,14 +8,18 @@ Runs, in order, stopping at the first failure:
 2. the documentation reference linter (``tools/check_docs.py``) —
    every ``repro.*`` path, CLI flag and metric/phase/host-value name
    in the docs must resolve;
-3. the observability selfcheck (``python -m repro obs selfcheck``) —
+3. the EXPERIMENTS.md freshness gate
+   (``benchmarks/make_experiments_md.py --check``) — the committed
+   document must equal what ``benchmarks/out/`` regenerates, and every
+   ``BENCH_*.json`` must validate;
+4. the observability selfcheck (``python -m repro obs selfcheck``) —
    analyzers, span-tree invariants, worker-lane merge and the
    Chrome-trace exporter on built-in artifacts;
-4. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
+5. the scale-ladder smoke rung (``benchmarks/bench_scale_ladder.py
    --rungs 1``) — the 10k rung builds, partitions balanced, and its
    per-phase coarsen/refine wall breakdown carries every expected
    recorder phase (the smoke asserts the breakdown keys exist);
-5. the perfbench smoke (``pytest perfbench/test_perfbench.py -q``) —
+6. the perfbench smoke (``pytest perfbench/test_perfbench.py -q``) —
    the pipeline benchmark harness's own tests (workload checks, the
    run/child protocol, metric declarations), outside tier-1's
    ``testpaths``.
@@ -50,6 +54,9 @@ STEPS: list[tuple[str, list[str], tuple[str, ...]]] = [
     ("docs references",
      [sys.executable, "tools/check_docs.py"],
      ()),
+    ("EXPERIMENTS.md freshness",
+     [sys.executable, "benchmarks/make_experiments_md.py", "--check"],
+     ("src",)),
     ("obs selfcheck",
      [sys.executable, "-m", "repro", "obs", "selfcheck"],
      ("src",)),
