@@ -12,6 +12,12 @@ real old code, not a strawman, exactly like
 :class:`repro.bench.partition_speed.LegacyPartitionState` does for the
 partition core.
 
+The module also hosts ``_dff_next``, the original per-cell flip-flop
+state function both legacy stacks call; the production kernel
+(:func:`repro.sim.kernel.step`) samples the same rules inline, and
+``tests/test_sim_substrate_perf.py`` compares the two over every
+dff/dffr/dffe transition.
+
 The legacy scheduler also serves as the oracle for the engine's
 current one.  It re-pushes every stale heap entry it meets, where the
 engine drops it; over the production LP (``lp_class = ClusterLP``) the
@@ -34,7 +40,7 @@ import json
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,8 +51,8 @@ from ..sim.cluster import ClusterSpec, TimeWarpConfig
 from ..sim.compiled import CompiledCircuit, compile_circuit
 from ..sim.engine import run_partitioned, run_sequential_baseline
 from ..sim.events import Message
-from ..sim.logic import GATE_CODES
-from ..sim.sequential import SequentialSimulator, SeqStats, _dff_next
+from ..sim.logic import GATE_CODES, VX
+from ..sim.sequential import SequentialSimulator, SeqStats
 from ..sim.timewarp import TimeWarpEngine
 from ..verilog import compile_verilog
 
@@ -61,6 +67,8 @@ __all__ = [
 ]
 
 _DFF = GATE_CODES["dff"]
+_DFFR = GATE_CODES["dffr"]
+_DFFE = GATE_CODES["dffe"]
 
 # -- pre-PR gate evaluation -------------------------------------------------
 #
@@ -118,6 +126,55 @@ def legacy_eval_gate_coded(code: int, values) -> int:
     for v in values[1:]:
         acc = int(table[acc, v])
     return _NOT[acc] if inv else acc
+
+
+# -- reference flip-flop rule -----------------------------------------------
+
+
+def _dff_next(
+    code: int,
+    pins: tuple[int, ...],
+    values,
+    old: Mapping[int, int],
+    current_q: int,
+) -> int | None:
+    """Next-state of a flip-flop given the changes applied at this
+    instant; None means no output event.
+
+    ``old`` carries pre-update values for nets that changed now; pins
+    other than the clock are sampled from it (setup-time semantics).
+    ``values`` is anything indexable by global net id (NumPy array,
+    list mirror, or an LP's value view).
+    """
+
+    def before(net: int) -> int:
+        return old.get(net, int(values[net]))
+
+    clk = pins[1]
+    if clk not in old:
+        return None  # data moved but no clock activity: FF holds
+    clk_before, clk_after = old[clk], int(values[clk])
+    if clk_after == 0 or clk_before == 1:
+        return None  # falling or non-edge
+    known_edge = clk_before == 0 and clk_after == 1
+    if code == _DFFR:
+        rst = before(pins[2])
+        if known_edge and rst == 1:
+            return 0
+        if rst == VX or not known_edge:
+            return VX
+        return before(pins[0])
+    if code == _DFFE:
+        en = before(pins[2])
+        if en == 0:
+            return None  # enable off: holds regardless of the edge
+        if not known_edge or en == VX:
+            return VX
+        return before(pins[0])
+    # plain dff
+    if not known_edge:
+        return VX
+    return before(pins[0])
 
 
 # -- pre-PR sequential simulator --------------------------------------------

@@ -4,6 +4,9 @@ Layers (mirroring DVS, paper Figure 4):
 
 * :mod:`repro.sim.logic` / :mod:`repro.sim.compiled` — 3-valued gate
   evaluation over an array-compiled circuit.
+* :mod:`repro.sim.kernel` — the unit-delay timestep (apply changes,
+  evaluate affected gates, sample flip-flops) that both simulators
+  below call over their own gate tables.
 * :mod:`repro.sim.sequential` — the unit-delay event-driven reference
   simulator (correctness oracle and T_seq baseline).
 * :mod:`repro.sim.lp` / :mod:`repro.sim.timewarp` — Clustered Time

@@ -8,33 +8,29 @@ codes, freezes pin lists as tuples, and precomputes per-net sink lists.
 Sequential cells keep their input pin roles: ``dff`` = (d, clk),
 ``dffr`` = (d, clk, rst), ``dffe`` = (d, clk, en).
 
-Two construction paths feed the same structure:
-
-* the object-model :class:`~repro.verilog.netlist.Netlist` (parsed
-  circuits) — a per-gate Python pass, every mirror built eagerly;
-* the array-native :class:`~repro.verilog.netlist_csr.NetlistCSR`
-  (streamed million-gate circuits) — pure vectorized array work; the
-  Python-object mirrors (``gate_inputs`` / ``net_sinks`` tuples and the
-  plain-int lists) materialize lazily on first access, so array-only
-  consumers never pay the O(gates) tuple construction.
+Compilation is vectorized array work over a
+:class:`~repro.verilog.netlist_csr.NetlistCSR`: the streamed
+million-gate circuits arrive in that form, and an object-model
+:class:`~repro.verilog.netlist.Netlist` (parsed circuits) is lowered to
+it first with :meth:`NetlistCSR.from_netlist`.  The Python-object
+mirrors (``gate_inputs`` / ``net_sinks`` tuples and the plain-int
+lists) materialize lazily on first access, so array-only consumers
+never pay the O(gates) tuple construction.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..verilog.netlist import CONST0, CONST1, Netlist
 from ..verilog.netlist_csr import NetlistCSR
-from .logic import GATE_CODES, SEQ_CODE_MIN, VX, eval_gate_coded
+from .logic import GATE_CODES, SEQ_CODE_MIN, VX
 
 __all__ = ["CompiledCircuit", "compile_circuit", "pad_pin_matrix"]
 
 #: Python-object mirrors of the array state, built together on first
-#: access through :meth:`CompiledCircuit.__getattr__` when the source
-#: was a :class:`NetlistCSR` (the object-model path sets them eagerly).
+#: access through :meth:`CompiledCircuit.__getattr__`.
 _LAZY_MIRRORS = frozenset(
     {"gate_inputs", "net_sinks", "gate_code_list", "gate_output_list"}
 )
@@ -91,73 +87,20 @@ class CompiledCircuit:
     )
 
     def __init__(self, netlist: Netlist | NetlistCSR) -> None:
+        # diagnostics name nets through the caller's own netlist, so a
+        # parsed circuit keeps its real names after the lowering below
         self.netlist = netlist
-        self.num_gates = netlist.num_gates
-        self.num_nets = netlist.num_nets
-        if isinstance(netlist, NetlistCSR):
-            self._init_from_csr(netlist)
-            return
-        codes = np.zeros(self.num_gates, dtype=np.int8)
-        for g in netlist.gates:
-            code = GATE_CODES.get(g.gtype)
-            if code is None:
-                raise SimulationError(f"gate {g.name!r} has unknown type {g.gtype!r}")
-            codes[g.gid] = code
-        self.gate_code = codes
-        self.gate_inputs = tuple(g.inputs for g in netlist.gates)
-        self.gate_output = np.array(
-            [g.output for g in netlist.gates], dtype=np.int64
-        ) if self.num_gates else np.zeros(0, dtype=np.int64)
-        self.net_sinks = tuple(tuple(s) for s in netlist.net_sinks)
-        init = np.full(self.num_nets, VX, dtype=np.int8)
-        init[CONST0] = 0
-        init[CONST1] = 1
-        self.initial_values = init
-        self.inputs = tuple(netlist.inputs)
-        self.outputs = tuple(netlist.outputs)
-
-        # CSR pin/sink arrays + the padded pin matrix for batched eval
-        pin_offsets = np.zeros(self.num_gates + 1, dtype=np.int64)
-        for gid, pins in enumerate(self.gate_inputs):
-            pin_offsets[gid + 1] = pin_offsets[gid] + len(pins)
-        self.pin_offsets = pin_offsets
-        self.pin_net = np.fromiter(
-            (n for pins in self.gate_inputs for n in pins),
-            dtype=np.int64,
-            count=int(pin_offsets[-1]),
+        csr = (
+            netlist if isinstance(netlist, NetlistCSR)
+            else NetlistCSR.from_netlist(netlist)
         )
-        sink_offsets = np.zeros(self.num_nets + 1, dtype=np.int64)
-        for net, sinks in enumerate(self.net_sinks):
-            sink_offsets[net + 1] = sink_offsets[net] + len(sinks)
-        self.sink_offsets = sink_offsets
-        self.sink_gate = np.fromiter(
-            (g for sinks in self.net_sinks for g in sinks),
-            dtype=np.int64,
-            count=int(sink_offsets[-1]),
-        )
-        self.max_arity = max(
-            (len(pins) for pins in self.gate_inputs), default=0
-        )
-        self.pin_matrix, self.pin_mask = pad_pin_matrix(
-            self.gate_inputs, self.max_arity
-        )
-        # plain-int mirrors of the per-gate arrays: CPython reads a
-        # list element an order of magnitude faster than a NumPy
-        # scalar, and every simulator instance (and each cluster LP)
-        # indexes these per gate — shared here so they are built once
-        # per compiled circuit, not once per simulator construction
-        self.gate_code_list: list[int] = self.gate_code.tolist()
-        self.gate_output_list: list[int] = self.gate_output.tolist()
-
-    def _init_from_csr(self, csr: NetlistCSR) -> None:
-        """Vectorized compilation of an array-native netlist.
-
-        No per-gate Python loop: the type table maps through one fancy
-        index, the pin CSR is adopted as-is, the sink CSR falls out of
-        one stable sort of the pins by net, and the padded pin matrix
-        is a single masked scatter.  The tuple/list mirrors are *not*
-        built here — see :meth:`__getattr__`.
-        """
+        self.num_gates = csr.num_gates
+        self.num_nets = csr.num_nets
+        # no per-gate Python loop: the type table maps through one
+        # fancy index, the pin CSR is adopted as-is, the sink CSR falls
+        # out of one stable sort of the pins by net, and the padded pin
+        # matrix is a single masked scatter; the tuple/list mirrors are
+        # *not* built here — see __getattr__
         table = np.empty(max(1, len(csr.gate_types)), dtype=np.int8)
         for i, name in enumerate(csr.gate_types):
             code = GATE_CODES.get(name)
@@ -192,14 +135,7 @@ class CompiledCircuit:
         np.cumsum(counts, dtype=np.int64, out=sink_offsets[1:])
         self.sink_offsets = sink_offsets
         self.max_arity = int(arity.max()) if self.num_gates else 0
-        mask = (
-            np.arange(self.max_arity, dtype=np.int64)[None, :]
-            < arity[:, None]
-        )
-        matrix = np.zeros((self.num_gates, self.max_arity), dtype=np.int64)
-        matrix[mask] = self.pin_net
-        self.pin_matrix = matrix
-        self.pin_mask = mask
+        self.pin_matrix, self.pin_mask = pad_pin_matrix(arity, self.pin_net)
 
     def __getattr__(self, name: str):
         # array-native compilation leaves the Python-object mirrors
@@ -214,43 +150,42 @@ class CompiledCircuit:
 
     def _build_scalar_mirrors(self) -> None:
         """Materialize the tuple/list mirrors from the CSR arrays."""
-        ptr = self.pin_offsets.tolist()
-        flat = self.pin_net.tolist()
-        self.gate_inputs = tuple(
-            tuple(flat[ptr[g]:ptr[g + 1]]) for g in range(self.num_gates)
-        )
+        # one int object per id, shared by every tuple that holds it:
+        # .tolist() would box each pin and sink entry separately
+        ids = list(range(max(self.num_nets, self.num_gates)))
+        if isinstance(self.netlist, Netlist):
+            # a parsed circuit's gates already hold these pin tuples
+            self.gate_inputs = tuple(g.inputs for g in self.netlist.gates)
+        else:
+            ptr = self.pin_offsets.tolist()
+            flat = [ids[n] for n in self.pin_net.tolist()]
+            self.gate_inputs = tuple(
+                tuple(flat[ptr[g]:ptr[g + 1]]) for g in range(self.num_gates)
+            )
         sptr = self.sink_offsets.tolist()
-        sflat = self.sink_gate.tolist()
+        sflat = [ids[g] for g in self.sink_gate.tolist()]
         self.net_sinks = tuple(
             tuple(sflat[sptr[n]:sptr[n + 1]]) for n in range(self.num_nets)
         )
         self.gate_code_list = self.gate_code.tolist()
-        self.gate_output_list = self.gate_output.tolist()
+        self.gate_output_list = [ids[n] for n in self.gate_output.tolist()]
 
     def is_sequential_gate(self, gid: int) -> bool:
         """True if gate ``gid`` is a state-holding cell."""
         return int(self.gate_code[gid]) >= SEQ_CODE_MIN
 
-    def eval_combinational(self, gid: int, values: np.ndarray) -> int:
-        """Evaluate combinational gate ``gid`` against a value array."""
-        pins = self.gate_inputs[gid]
-        return eval_gate_coded(int(self.gate_code[gid]), [int(values[p]) for p in pins])
 
+def pad_pin_matrix(arity: np.ndarray, pins) -> tuple[np.ndarray, np.ndarray]:
+    """Pad ragged pin lists to a dense ``(n, max arity)`` index matrix.
 
-def pad_pin_matrix(
-    pin_lists: Sequence[Sequence[int]], max_arity: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pad ragged pin lists to a dense ``(n, max_arity)`` index matrix.
-
+    ``pins`` is the lists concatenated and ``arity`` their lengths.
     Returns ``(matrix, mask)``: pad cells index 0 and are False in the
-    mask.  Shared by the global circuit and each LP's local pin table.
+    mask.  Shared by the global circuit and each LP's gate table.
     """
-    n = len(pin_lists)
-    matrix = np.zeros((n, max_arity), dtype=np.int64)
-    mask = np.zeros((n, max_arity), dtype=bool)
-    for i, pins in enumerate(pin_lists):
-        matrix[i, : len(pins)] = pins
-        mask[i, : len(pins)] = True
+    width = int(arity.max()) if len(arity) else 0
+    mask = np.arange(width, dtype=np.int64)[None, :] < arity[:, None]
+    matrix = np.zeros(mask.shape, dtype=np.int64)
+    matrix[mask] = pins
     return matrix, mask
 
 

@@ -3,8 +3,10 @@
 Following the paper (§4.3) and Clustered Time Warp [Avril & Tropper],
 an LP is a *cluster of gates* — a visible node of the circuit
 hypergraph: a top-level gate, or a whole Verilog module instance whose
-children roll back along with their parent.  Each LP is effectively a
-private unit-delay simulator over its gate subset:
+children roll back along with their parent.  Each LP is a private
+unit-delay simulator over its gate subset — it runs the sequential
+simulator's own timestep, :func:`repro.sim.kernel.step`, over a gate
+table in local slot space:
 
 * its **state** is the value array of the nets its gates touch, plus
   the internal future-event agenda;
@@ -53,20 +55,11 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from .compiled import CompiledCircuit, pad_pin_matrix
+from .compiled import CompiledCircuit
 from .events import Message
-from .logic import (
-    BATCH_THRESHOLD,
-    GATE_CODES,
-    VX,
-    eval_gate_coded,
-    eval_gates_batch,
-)
+from .kernel import GateTable, step
 
 __all__ = ["ClusterLP", "BatchResult", "RollbackResult"]
-
-_DFF = GATE_CODES["dff"]
-_DFFR = GATE_CODES["dffr"]
 
 
 @dataclass
@@ -166,7 +159,6 @@ class ClusterLP:
         self.lazy = lazy
 
         # local net table: every net a local gate reads or drives
-        code_list = circuit.gate_code_list
         out_list = circuit.gate_output_list
         local_nets: set[int] = set()
         for gid in self.gate_ids:
@@ -175,45 +167,11 @@ class ClusterLP:
         self._net_list = sorted(local_nets)
         self._net_loc = {n: i for i, n in enumerate(self._net_list)}
 
-        # per-gate tables indexed by *local gate index* (gate_ids order):
-        # plain-int lists for the scalar path, padded local-loc pin
-        # matrix + code array for the batched kernel
-        gidx = {gid: i for i, gid in enumerate(self.gate_ids)}
-        self._g_code: list[int] = []
-        self._g_pins_loc: list[tuple[int, ...]] = []
-        self._g_pins_glob: list[tuple[int, ...]] = []
-        self._g_out_net: list[int] = []
-        self._g_out_loc: list[int] = []
-        # global clock net per flip-flop (-1 for combinational gates):
-        # every dff variant samples only on clock activity, so a batch
-        # where the clock net did not change skips the state function
-        # outright (its first test would return None anyway)
-        self._g_clk: list[int] = []
-        net_loc = self._net_loc
-        for gid in self.gate_ids:
-            pins = circuit.gate_inputs[gid]
-            out_net = out_list[gid]
-            code = code_list[gid]
-            self._g_code.append(code)
-            self._g_pins_glob.append(pins)
-            self._g_pins_loc.append(tuple(net_loc[p] for p in pins))
-            self._g_out_net.append(out_net)
-            self._g_out_loc.append(net_loc[out_net])
-            self._g_clk.append(pins[1] if code >= _DFF else -1)
-        # batch-kernel tables (code array + padded pin matrix) are
-        # built on first use: many small LPs never see an affected set
-        # reaching BATCH_THRESHOLD, and skipping their construction
-        # keeps per-LP setup cost proportional to what actually runs
-        self._g_codes_arr: np.ndarray | None = None
-        self._pin_mat: np.ndarray | None = None
-        self._pin_msk: np.ndarray | None = None
-
-        # local sink gates (local indices) per local net index
-        sinks: list[list[int]] = [[] for _ in self._net_list]
-        for gid in self.gate_ids:
-            for n in circuit.gate_inputs[gid]:
-                sinks[self._net_loc[n]].append(gidx[gid])
-        self._local_sinks = tuple(tuple(s) for s in sinks)
+        # the gate table in local slot space (index = position in
+        # gate_ids) and, beside it, each gate's global output net for
+        # the message layer
+        self._table = GateTable.for_gates(circuit, self.gate_ids, self._net_loc)
+        self._g_out_net: list[int] = [out_list[gid] for gid in self.gate_ids]
 
         # locally driven nets back the last-sent-value filter: an int8
         # array (checkpointed by copy) seeded with the nets' initial
@@ -412,131 +370,30 @@ class ClusterLP:
             changes[self._net_loc[msg.net]] = msg.value
             self._next_idx += 1
 
-        values = self.values
         vlist = self._vlist
-        net_list = self._net_list
-        old: dict[int, int] = {}  # keyed by *global* net for _dff_next
-        affected: dict[int, None] = {}  # ordered de-dup of local gate idx
-        for loc, value in changes.items():
-            cur = vlist[loc]
-            if cur == value:
-                continue
-            old[net_list[loc]] = cur
-            values[loc] = value
-            vlist[loc] = value
-            if self.record_changes:
-                self._change_log.append((T, net_list[loc], value))
-            for gi in self._local_sinks[loc]:
-                affected[gi] = None
+        table = self._table
+        old, affected, outs = step(table, self.values, vlist, changes, self)
+        if self.record_changes:
+            net_list = self._net_list
+            self._change_log.extend((T, net_list[loc], vlist[loc]) for loc in old)
 
         sends: list[Message] = []
-        n_evals = 0
-        if old:
-            g_code = self._g_code
+        n_evals = len(affected)
+        if outs:
+            g_out_slot = table.out
             g_out_net = self._g_out_net
-            g_out_loc = self._g_out_loc
             g_pend = self._g_pend
             pending = self._pending
             pending_list = self._pending_list
-            agenda = self._agenda
             out_dests = self.out_dests
             T1 = T + 1
-            comb = [gi for gi in affected if g_code[gi] < _DFF]
-            comb_out = None  # iterator over batched outputs, in order
-            if len(comb) >= BATCH_THRESHOLD:
-                if self._pin_mat is None:
-                    self._g_codes_arr = np.array(self._g_code, dtype=np.int8)
-                    max_arity = max(len(p) for p in self._g_pins_loc)
-                    self._pin_mat, self._pin_msk = pad_pin_matrix(
-                        self._g_pins_loc, max_arity
-                    )
-                g = np.fromiter(comb, dtype=np.int64, count=len(comb))
-                outs = eval_gates_batch(
-                    self._g_codes_arr[g],
-                    values[self._pin_mat[g]],
-                    self._pin_msk[g],
-                )
-                # comb gates appear in `affected` in exactly the order
-                # `comb` was built, so the outputs stream back through
-                # an iterator — no per-gate dict lookups
-                comb_out = iter(outs.tolist())
-                self.kernel_batches += 1
-                self.kernel_batch_gates += len(comb)
-            else:
-                self.kernel_scalar_gates += len(comb)
-            g_pins_loc = self._g_pins_loc
-            # per-batch clock-edge cache, keyed by global clock net:
-            # 0 = no sampling (idle clock, falling or non-edge),
-            # 1 = known rising edge, 2 = X-involved edge
-            clk_state: dict[int, int] = {}
-            for gi in affected:
-                n_evals += 1
-                code = g_code[gi]
+            slot = self._agenda.get(T1)
+            if slot is None:
+                slot = self._agenda[T1] = {}
+                heapq.heappush(self._heap, T1)
+            for gi, new in outs:
+                slot[g_out_slot[gi]] = new
                 out_net = g_out_net[gi]
-                if code < _DFF:
-                    if comb_out is not None:
-                        new = next(comb_out)
-                    else:
-                        new = eval_gate_coded(
-                            code, [vlist[p] for p in g_pins_loc[gi]]
-                        )
-                else:
-                    c = self._g_clk[gi]
-                    st = clk_state.get(c)
-                    if st is None:
-                        cb = old.get(c)
-                        if cb is None:
-                            st = 0  # clock idle: the FF holds
-                        else:
-                            ca = vlist[g_pins_loc[gi][1]]
-                            if ca == 0 or cb == 1:
-                                st = 0  # falling or non-edge
-                            elif cb == 0 and ca == 1:
-                                st = 1  # known rising edge
-                            else:
-                                st = 2  # X on the clock: unknown edge
-                        clk_state[c] = st
-                    if st == 0:
-                        continue  # held: no output event (counted)
-                    if code == _DFF:
-                        # plain dff inline: known edge samples D's
-                        # pre-batch value, unknown edge yields X
-                        if st == 1:
-                            d = self._g_pins_glob[gi][0]
-                            dv = old.get(d)
-                            new = vlist[g_pins_loc[gi][0]] if dv is None else dv
-                        else:
-                            new = VX
-                    else:
-                        # dffr/dffe inline, mirroring _dff_next: pin 2
-                        # (reset / enable) sampled at its pre-batch value
-                        pg = self._g_pins_glob[gi]
-                        pl = g_pins_loc[gi]
-                        x = old.get(pg[2])
-                        if x is None:
-                            x = vlist[pl[2]]
-                        if code == _DFFR:
-                            if st == 1 and x == 1:
-                                new = 0  # synchronous reset asserted
-                            elif st == 2 or x == VX:
-                                new = VX
-                            else:
-                                dv = old.get(pg[0])
-                                new = vlist[pl[0]] if dv is None else dv
-                        else:  # _DFFE
-                            if x == 0:
-                                continue  # enable off: holds (counted)
-                            if st == 2 or x == VX:
-                                new = VX
-                            else:
-                                dv = old.get(pg[0])
-                                new = vlist[pl[0]] if dv is None else dv
-                slot = agenda.get(T1)
-                if slot is None:
-                    slot = {}
-                    agenda[T1] = slot
-                    heapq.heappush(self._heap, T1)
-                slot[g_out_loc[gi]] = new
                 dests = out_dests.get(out_net)
                 pidx = g_pend[gi]
                 if dests is not None and new != pending_list[pidx]:
@@ -701,17 +558,3 @@ class ClusterLP:
         self._batch_log = [b for b in self._batch_log if b[0] > floor]
         self._recompute_next_vt()
 
-
-class _LPValueView:
-    """Adapter letting :func:`_dff_next` read LP-local values through
-    global net ids (it indexes ``values[net]`` like the sequential
-    simulator's flat list mirror)."""
-
-    __slots__ = ("_values", "_loc")
-
-    def __init__(self, values: list[int], loc: dict[int, int]) -> None:
-        self._values = values
-        self._loc = loc
-
-    def __getitem__(self, net: int) -> int:
-        return self._values[self._loc[net]]

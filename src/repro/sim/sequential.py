@@ -20,32 +20,26 @@ Semantics:
   values the nets held *just before* the clock edge, which is the
   standard zero-hold-time idealization.  An edge whose before/after
   values involve X produces an X output (conservative unknown edge).
+
+Both rules live in :func:`repro.sim.kernel.step`, the timestep every
+Time Warp LP also runs; this module adds the global agenda, the
+counters and the activity profile around it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from ..errors import SimulationError
 from .compiled import CompiledCircuit
 from .events import InputEvent
-from .logic import (
-    BATCH_THRESHOLD,
-    GATE_CODES,
-    VX,
-    eval_gate_coded,
-    eval_gates_batch,
-)
+from .kernel import GateTable, step
 
 __all__ = ["SequentialSimulator", "SeqStats", "simulate_sequential"]
-
-_DFF = GATE_CODES["dff"]
-_DFFR = GATE_CODES["dffr"]
-_DFFE = GATE_CODES["dffe"]
 
 
 @dataclass
@@ -90,12 +84,7 @@ class SequentialSimulator:
     ):
         self.circuit = circuit
         self.values = circuit.initial_values.copy()
-        # plain-int mirrors beside the authoritative NumPy arrays: the
-        # scalar fast path reads these (NumPy scalar indexing is ~10x a
-        # Python list read); refreshed from self.values at run() entry
-        self._values_list: list[int] = self.values.tolist()
-        self._code_list: list[int] = circuit.gate_code_list
-        self._out_list: list[int] = circuit.gate_output_list
+        self._table = GateTable.for_circuit(circuit)
         self._agenda: dict[int, dict[int, int]] = {}
         self._heap: list[int] = []
         self.now = -1
@@ -142,107 +131,40 @@ class SequentialSimulator:
         :meth:`add_inputs`.
         """
         values = self.values
-        vlist = self._values_list = self.values.tolist()
-        code_list = self._code_list
-        out_list = self._out_list
-        circuit = self.circuit
+        # plain-int mirror of the authoritative array for the kernel's
+        # scalar reads (a NumPy scalar read costs ~10x a list read)
+        vlist = values.tolist()
+        table = self._table
+        out_list = table.out
+        agenda = self._agenda
+        heap = self._heap
         stats = self.stats
         activity = stats.activity
-        while self._heap:
-            t = self._heap[0]
+        while heap:
+            t = heap[0]
             if until is not None and t >= until:
                 break
-            heapq.heappop(self._heap)
-            changes = self._agenda.pop(t)
+            heapq.heappop(heap)
             self.now = t
-            old: dict[int, int] = {}
-            affected: dict[int, None] = {}  # ordered de-dup of gate ids
-            for net, value in changes.items():
-                cur = vlist[net]
-                if cur == value:
-                    continue
-                old[net] = cur
-                values[net] = value
-                vlist[net] = value
-                stats.net_events += 1
-                for gid in circuit.net_sinks[net]:
-                    affected[gid] = None
+            old, affected, outs = step(
+                table, values, vlist, agenda.pop(t), stats
+            )
             if not old:
                 continue
+            stats.net_events += len(old)
             if self.record_changes:
-                for net in old:
-                    self.change_log.append((t, net, vlist[net]))
+                self.change_log.extend((t, net, vlist[net]) for net in old)
             stats.end_time = t
-            comb = [g for g in affected if code_list[g] < _DFF]
-            comb_out: dict[int, int] | None = None
-            if len(comb) >= BATCH_THRESHOLD:
-                g = np.fromiter(comb, dtype=np.int64, count=len(comb))
-                outs = eval_gates_batch(
-                    circuit.gate_code[g],
-                    values[circuit.pin_matrix[g]],
-                    circuit.pin_mask[g],
-                )
-                # comb gates appear in `affected` in exactly the order
-                # `comb` was built, so the outputs stream back through
-                # an iterator — no per-gate dict lookups
-                comb_out = iter(outs.tolist())
-                stats.kernel_batches += 1
-                stats.kernel_batch_gates += len(comb)
-            else:
-                stats.kernel_scalar_gates += len(comb)
-            # per-batch clock-edge cache (see ClusterLP.execute_batch):
-            # 0 = no sampling, 1 = known rising edge, 2 = X-involved
-            clk_state: dict[int, int] = {}
-            for gid in affected:
-                stats.gate_evals += 1
-                if activity is not None:
-                    activity[gid] += 1
-                code = code_list[gid]
-                out_net = out_list[gid]
-                if code < _DFF:
-                    if comb_out is not None:
-                        new = next(comb_out)
-                    else:
-                        new = eval_gate_coded(
-                            code, [vlist[p] for p in circuit.gate_inputs[gid]]
-                        )
-                    self.schedule(t + 1, out_net, new)
-                else:
-                    # every dff variant samples only on clock activity
-                    # (pin 1): an idle, falling or non-edge clock means
-                    # the FF holds, skipping the state function outright
-                    pins = circuit.gate_inputs[gid]
-                    c = pins[1]
-                    st = clk_state.get(c)
-                    if st is None:
-                        cb = old.get(c)
-                        if cb is None:
-                            st = 0
-                        else:
-                            ca = vlist[c]
-                            if ca == 0 or cb == 1:
-                                st = 0
-                            elif cb == 0 and ca == 1:
-                                st = 1  # known rising edge
-                            else:
-                                st = 2  # X on the clock: unknown edge
-                        clk_state[c] = st
-                    if st == 0:
-                        continue
-                    if code == _DFF:
-                        # plain dff inline: known edge samples D's
-                        # pre-batch value, unknown edge yields X
-                        if st == 1:
-                            d = pins[0]
-                            dv = old.get(d)
-                            new = vlist[d] if dv is None else dv
-                        else:
-                            new = VX
-                        self.schedule(t + 1, out_net, new)
-                    else:
-                        q = _dff_next(code, pins, vlist, old, vlist[out_net])
-                        if q is not None:
-                            self.schedule(t + 1, out_net, q)
+            stats.gate_evals += len(affected)
+            if activity is not None:
+                activity[list(affected)] += 1
+            if outs:
+                slot = agenda.get(t + 1)
+                if slot is None:
+                    slot = agenda[t + 1] = {}
+                    heapq.heappush(heap, t + 1)
+                for gid, new in outs:
+                    slot[out_list[gid]] = new
             for observer in self.observers:
                 observer(t)
         return stats
@@ -256,52 +178,6 @@ class SequentialSimulator:
     def output_values(self) -> list[int]:
         """Current values of the primary outputs, port order."""
         return [int(self.values[n]) for n in self.circuit.outputs]
-
-
-def _dff_next(
-    code: int,
-    pins: tuple[int, ...],
-    values,
-    old: Mapping[int, int],
-    current_q: int,
-) -> int | None:
-    """Next-state of a flip-flop given the changes applied at this
-    instant; None means no output event.
-
-    ``old`` carries pre-update values for nets that changed now; pins
-    other than the clock are sampled from it (setup-time semantics).
-    ``values`` is anything indexable by global net id (NumPy array,
-    list mirror, or an LP's value view).
-    """
-
-    def before(net: int) -> int:
-        return old.get(net, int(values[net]))
-
-    clk = pins[1]
-    if clk not in old:
-        return None  # data moved but no clock activity: FF holds
-    clk_before, clk_after = old[clk], int(values[clk])
-    if clk_after == 0 or clk_before == 1:
-        return None  # falling or non-edge
-    known_edge = clk_before == 0 and clk_after == 1
-    if code == _DFFR:
-        rst = before(pins[2])
-        if known_edge and rst == 1:
-            return 0
-        if rst == VX or not known_edge:
-            return VX
-        return before(pins[0])
-    if code == _DFFE:
-        en = before(pins[2])
-        if en == 0:
-            return None  # enable off: holds regardless of the edge
-        if not known_edge or en == VX:
-            return VX
-        return before(pins[0])
-    # plain dff
-    if not known_edge:
-        return VX
-    return before(pins[0])
 
 
 def simulate_sequential(

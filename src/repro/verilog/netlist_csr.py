@@ -212,6 +212,10 @@ class NetlistCSR:
         hierarchical name strings — that is the point)."""
         return f"g{gid}"
 
+    def net_name(self, nid: int) -> str:
+        """Synthetic stable net name, the same way as :meth:`gate_name`."""
+        return f"n{nid}"
+
     def validate(self) -> None:
         """Structural sanity checks; raises :class:`NetlistError`.
 

@@ -5,10 +5,10 @@ Time Warp hot path changed *nothing* observable:
 
 * an exhaustive flip-flop transition sweep (every dff/dffr/dffe pin
   role × every {0, 1, X} before/after combination) comparing the
-  inline sampling code in :class:`SequentialSimulator` and
-  :class:`ClusterLP` against :class:`LegacySequentialSimulator`, whose
-  run loop still routes every sequential cell through the reference
-  ``_dff_next``; and
+  sampling code of :func:`repro.sim.kernel.step`, run by both
+  :class:`SequentialSimulator` and :class:`ClusterLP`, against
+  :class:`LegacySequentialSimulator`, whose run loop still routes every
+  sequential cell through the reference ``_dff_next``; and
 * the miniature ``smoke_sim_study`` — the same structural-parity
   assertions (per-point rows, golden digest, chosen best) the full
   ``benchmarks/bench_sim_speed.py`` study makes, at tier-1 cost.

@@ -22,6 +22,7 @@ from repro.sim import (
     compile_circuit,
 )
 from repro.verilog import compile_verilog
+from repro.verilog.netlist_csr import NetlistCSR
 
 
 def run_both(netlist, circuit, clusters, lp_machine, events, spec=None, config=None):
@@ -173,6 +174,42 @@ class TestValidation:
             TimeWarpEngine(
                 pipeadd_circuit, [list(range(n))], [5], ClusterSpec(num_machines=2)
             )
+
+
+class TestArrayNativeDiagnostics:
+    """A divergence on a circuit compiled from a :class:`NetlistCSR`
+    (no hierarchical net names) must still surface as
+    :class:`SimulationError`, named by the synthetic ``n<id>``."""
+
+    @pytest.fixture
+    def csr_run(self, viterbi_test):
+        circuit = compile_circuit(NetlistCSR.from_netlist(viterbi_test))
+        clusters = hierarchy_clusters(viterbi_test)
+        lp_machine = [i % 2 for i in range(len(clusters))]
+        events = random_vectors(viterbi_test, 4, seed=3)
+        seq = SequentialSimulator(circuit, record_changes=True)
+        seq.add_inputs(events)
+        seq.run()
+        eng = TimeWarpEngine(circuit, clusters, lp_machine,
+                             ClusterSpec(num_machines=2),
+                             TimeWarpConfig(record_changes=True))
+        eng.load_inputs(events)
+        eng.run()
+        return seq, eng
+
+    def test_final_value_divergence(self, csr_run):
+        seq, eng = csr_run
+        net = int(seq.circuit.outputs[0])
+        seq.values[net] = (seq.values[net] + 1) % 3
+        with pytest.raises(SimulationError, match=f"'n{net}'"):
+            eng.verify_against_sequential(seq)
+
+    def test_change_stream_divergence(self, csr_run):
+        seq, eng = csr_run
+        t, net, value = seq.change_log[-1]
+        seq.change_log[-1] = (t, net, (value + 1) % 3)
+        with pytest.raises(SimulationError, match=f"n{net}"):
+            eng.verify_change_stream(seq)
 
 
 class TestQuiescentUnconfirmedDrain:
